@@ -3,19 +3,21 @@
 Run from the repository root::
 
     python3 benchmarks/harness/bench.py run [--workload NAME]... [--seed N]
-        [--seconds S] [--trace 0|1|DIR] [--json FILE]
+        [--trace 0|1] [--json FILE]
     python3 benchmarks/harness/bench.py compare BASE.jsonl NEW.jsonl...
     python3 benchmarks/harness/bench.py record --workload NAME --seed N
 
 ``run`` runs each workload in fresh Python processes: it launches the
-workload several times just to time set-up, then once more to measure.
-It prints every metric as ``workload metric value unit [note]`` and, as
-the last line, one JSON object with ``correct``, ``attempted``, ``failed``
-and ``metrics``.  Untraced runs (``--trace 0``) report the end-to-end
-metrics of ``BENCHMARK.json``; traced runs (``--trace 1``, or a directory
-for the Chrome traces) report its per-layer metrics.  The exit status is
-non-zero when any output check fails.  ``--json FILE`` appends one record
-per workload, with an environment fingerprint, for ``compare``.
+workload several times just to time set-up, then once more to measure for
+``run_seconds`` of ``BENCHMARK.json``.  It prints every metric as
+``workload metric value unit [note]`` and, as the last line, one JSON
+object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
+Untraced runs (``--trace 0``) report the end-to-end metrics of
+``BENCHMARK.json``; traced runs (``--trace 1``) report its per-layer
+metrics and write Chrome traces to ``.bench_out/trace/``.  The exit status
+is non-zero when any output check fails.  ``--json FILE`` appends one
+record per workload, with an environment fingerprint, for ``compare``.
+``--seconds`` may restate the run length, but only as ``run_seconds``.
 
 ``compare`` judges each (end-to-end metric, workload) pair of a base set
 of records against each new set, and exits non-zero on a regression or an
@@ -44,6 +46,7 @@ from bench_stats import compare_runs, env_fingerprint, load_records
 HARNESS = Path(__file__).resolve().parent
 ROOT = HARNESS.parent.parent
 OUTPUT = ROOT / ".bench_out"
+TRACES = OUTPUT / "trace"
 
 #: Set-up is timed this many times per run; the median is reported.
 SETUP_SAMPLES = 5
@@ -60,7 +63,11 @@ def load_spec() -> dict:
 
 
 class Child:
-    """One workload process; times its set-up and collects its result."""
+    """One workload process; times its set-up and collects its result.
+
+    ``setup_s`` is the time from launch to the process's ``READY`` line,
+    less the process's speed probe, at reference speed.
+    """
 
     def __init__(self, argv: List[str], deadline: float) -> None:
         env = dict(os.environ)
@@ -84,8 +91,10 @@ class Child:
         last = ""
         try:
             for line in self.proc.stdout:
-                if line.strip() == "READY" and self.setup_s is None:
-                    self.setup_s = time.perf_counter() - started
+                if line.startswith("READY ") and self.setup_s is None:
+                    wall = time.perf_counter() - started
+                    probe_s, scale = map(float, line.split()[1:])
+                    self.setup_s = (wall - probe_s) * scale
                 elif line.strip():
                     last = line
             self.status = self.proc.wait()
@@ -105,12 +114,14 @@ class Child:
             pass
 
 
-def run_workload(name: str, seed: int, seconds: float, trace_dir: str, record: bool) -> dict:
+def run_workload(name: str, seed: int, seconds: int, traced: bool, record: bool) -> dict:
     """Set-up samples plus one measured run of one workload."""
     OUTPUT.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f"{name}-", dir=OUTPUT))
     argv = ["--workload", name, "--seed", str(seed), "--seconds", str(seconds),
-            "--work-dir", str(work), "--trace-dir", trace_dir]
+            "--work-dir", str(work)]
+    if traced:
+        argv += ["--trace-dir", str(TRACES)]
     if record:
         argv.append("--record")
     deadline = time.monotonic() + RUN_TIMEOUT
@@ -125,9 +136,9 @@ def run_workload(name: str, seed: int, seconds: float, trace_dir: str, record: b
         shutil.rmtree(work, ignore_errors=True)
     setups.append(child.setup_s)
     result = child.result
-    if not trace_dir:
+    if not traced:
         result["metrics"]["setup_s"] = statistics.median(setups)
-        result["notes"]["setup_s"] = f"median of {len(setups)} launches"
+        result["notes"]["setup_s"] = f"median of {len(setups)} launches, at reference speed"
     return result
 
 
@@ -139,15 +150,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     if unknown:
         print(f"bench.py: unknown workload(s) {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if args.trace == "0":
-        trace_dir = ""
-    else:
-        trace_dir = str(OUTPUT / "trace" if args.trace == "1" else Path(args.trace).resolve())
-    declared = spec["per_layer"] if trace_dir else spec["end_to_end"]
+    seconds = spec["run_seconds"]
+    if args.seconds is not None and args.seconds != seconds:
+        # Run length belongs to the benchmark, so runs of two commits compare.
+        print(f"bench.py: --seconds must be run_seconds ({seconds}) from BENCHMARK.json",
+              file=sys.stderr)
+        return 2
+    traced = args.trace == "1"
+    declared = spec["per_layer"] if traced else spec["end_to_end"]
     env = env_fingerprint(ROOT)
     summary = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     for name in workloads:
-        result = run_workload(name, args.seed, args.seconds, trace_dir, record=False)
+        result = run_workload(name, args.seed, seconds, traced, record=False)
         failures = result["failures"]
         for failure in failures[:20]:
             print(f"{name}: CHECK FAILED {failure}", file=sys.stderr)
@@ -167,8 +181,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             record = {
                 "workload": name,
                 "seed": args.seed,
-                "seconds": args.seconds,
-                "traced": bool(trace_dir),
+                "seconds": seconds,
+                "traced": traced,
                 "correct": not failures,
                 "attempted": result["attempted"],
                 "failed": len(failures),
@@ -185,9 +199,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = load_spec()
     base = load_records(args.base)
+    sets = {path: load_records(path) for path in args.new}
+    lengths = {record["seconds"] for records in [base, *sets.values()] for record in records}
+    if len(lengths) > 1:
+        print(f"bench.py: records of different run lengths {sorted(lengths)} do not compare",
+              file=sys.stderr)
+        return 2
     status = 0
-    for path in args.new:
-        new = load_records(path)
+    for path, new in sets.items():
         print(f"== {args.base} -> {path}")
         for workload in [w["name"] for w in spec["workloads"]]:
             for metric in spec["end_to_end"]:
@@ -217,7 +236,8 @@ def _quartiles(values: List[float]) -> str:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    result = run_workload(args.workload, args.seed, 0, "", record=True)
+    result = run_workload(args.workload, args.seed, load_spec()["run_seconds"], False,
+                          record=True)
     if result["failures"]:
         for failure in result["failures"]:
             print(f"{args.workload}: {failure}", file=sys.stderr)
@@ -241,9 +261,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     run = commands.add_parser("run", help="run workloads and print their metrics")
     run.add_argument("--workload", action="append", help="workload name (repeatable; default all)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--seconds", type=float, default=None,
-                     help="measuring time per workload (default: BENCHMARK.json run_seconds)")
-    run.add_argument("--trace", default="0", help="0, 1, or a directory for Chrome traces")
+    run.add_argument("--seconds", type=int, help="the run length; must be run_seconds")
+    run.add_argument("--trace", choices=("0", "1"), default="0",
+                     help="1: per-layer metrics and Chrome traces in .bench_out/trace/")
     run.add_argument("--json", help="append one result record per workload to this file")
     compare = commands.add_parser("compare", help="compare sets of run records")
     compare.add_argument("base")
@@ -259,8 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"bench.py: no repro sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     if args.command == "run":
-        if args.seconds is None:
-            args.seconds = load_spec()["run_seconds"]
         return cmd_run(args)
     return cmd_record(args)
 

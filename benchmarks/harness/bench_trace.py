@@ -58,22 +58,22 @@ LAYER_TARGETS: Dict[str, List[Tuple[str, Tuple[str, ...]]]] = {
     "engine.run_ms_max": [("ops_per_s", ("sim-apps", "sim-compression", "fluid-512"))],
     "engine.products": [("ops_per_s", ("analytic-paper", "fluid-512"))],
     "engine.unsupported": [("ops_per_s", ("fluid-512",))],
-    "analytic.waiting_time_calls": [("ops_per_s", ("analytic-paper",))],
+    "analytic.waiting_time_calls": [("ops_per_s", ("analytic-paper", "analytic-planned"))],
     "fluid.pk_waiting_times_calls": [("ops_per_s", ("fluid-512",))],
     "pipeline.self_s": [("ops_per_s", ("analytic-paper",))],
     "pipeline.ensure_all_s": [("ops_per_s", ("analytic-paper", "fluid-512"))],
-    "cache.puts": [("ops_per_s", ("analytic-paper",))],
+    "cache.puts": [("ops_per_s", ("analytic-paper", "analytic-planned"))],
     "cache.put_s": [("ops_per_s", ("analytic-paper",))],
     "cache.bytes_written": [("ops_per_s", ("analytic-paper",))],
-    "runner.self_s": [("ops_per_s", ("analytic-paper",))],
-    "planner.rounds": [("ops_per_s", ("analytic-paper",))],
-    "planner.propose_s": [("ops_per_s", ("analytic-paper",))],
-    "planner.products_executed": [("ops_per_s", ("analytic-paper",))],
-    "planner.campaign_s": [("ops_per_s", ("analytic-paper",))],
+    "runner.self_s": [("ops_per_s", ("analytic-paper", "analytic-planned"))],
+    "planner.rounds": [("ops_per_s", ("analytic-planned",))],
+    "planner.propose_s": [("ops_per_s", ("analytic-planned",))],
+    "planner.products_executed": [("ops_per_s", ("analytic-planned",))],
+    "planner.campaign_s": [("ops_per_s", ("analytic-planned",))],
     "models.predict_batch_calls": [("ops_per_s", ("serve-paper",))],
     "models.predict_batch_rows": [("ops_per_s", ("serve-paper",))],
     "models.predict_batch_us_per_row": [("ops_per_s", ("serve-paper",))],
-    "models.predict_calls": [("ops_per_s", ("analytic-paper",))],
+    "models.predict_calls": [("ops_per_s", ("analytic-planned",))],
     "serving.p50_ms": [("ops_per_s", ("serve-paper",))],
     "serving.tail_ms": [("ops_per_s", ("serve-paper",))],
     "serving.batch_tail_ms": [("ops_per_s", ("serve-paper",))],
@@ -83,7 +83,8 @@ LAYER_TARGETS: Dict[str, List[Tuple[str, Tuple[str, ...]]]] = {
     "trace.overhead_frac": [
         (
             "ops_per_s",
-            ("sim-apps", "sim-compression", "analytic-paper", "fluid-512", "serve-paper"),
+            ("sim-apps", "sim-compression", "analytic-paper", "analytic-planned", "fluid-512",
+             "serve-paper"),
         )
     ],
 }

@@ -1,21 +1,26 @@
 """One benchmark workload, run in a fresh process by ``bench.py``.
 
-Protocol: the process prints ``READY`` on stdout as soon as set-up is done
-(``bench.py`` times set-up from launch to that line), then runs the timed
+Protocol: the process prints ``READY <probe seconds> <scale>`` on stdout as
+soon as set-up is done (``bench.py`` times set-up from launch to that line
+and rescales it with the set-up's speed probe), then runs the timed
 phase for about ``--seconds`` seconds, checks every output, and prints one
 JSON result as its last stdout line.  With ``--setup-only`` it exits right
 after ``READY``.
 
 Workloads (see README.md for why each exists):
 
-* ``sim-apps`` / ``sim-compression`` / ``fluid-512`` / ``analytic-paper``
-  — cold campaigns, ``workers=1``, one fresh cache directory per
-  repetition.  A unit of work is one campaign (for ``analytic-paper``, one
-  ``ensure_all`` campaign plus one planned campaign); repetitions run until
-  the next one would overrun ``--seconds``.
+* ``sim-apps`` / ``sim-compression`` / ``fluid-512`` / ``analytic-paper`` /
+  ``analytic-planned`` — cold campaigns, ``workers=1``, one fresh cache
+  directory per repetition.  A unit of work is one campaign; repetitions
+  run until the next one would overrun ``--seconds``.
 * ``serve-paper`` — ``repro serve`` on an artifact fitted from the
-  committed paper cache, driven over HTTP by two client threads.  A unit
-  of work is one closed-loop round of requests.
+  committed paper cache, driven over HTTP by two client threads, client
+  and server on one CPU.  A unit of work is one closed-loop round of
+  requests.
+
+Set-up and every unit of work run under a ``SpeedProbe``, which rescales
+their wall time to reference speed, so the machine's drifting speed
+cancels out of what is reported.
 
 Outputs are checked against ``expected/<workload>.json`` when it holds the
 seed, and otherwise against the first repetition of the same run.
@@ -40,7 +45,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from bench_stats import percentile, product_digest, set_digest, tail
+from bench_stats import SpeedProbe, percentile, product_digest, set_digest, tail
 from bench_trace import (
     Tracer,
     install_campaign_probes,
@@ -58,7 +63,7 @@ QUICK = {"profile": "quick", "impact_duration": 0.02, "signature_duration": 0.02
 
 #: Serving load shape.
 CLIENT_THREADS = 2
-ROUND_REQUESTS = 500  # one closed-loop round, split across the client threads
+ROUND_REQUESTS = 2000  # one closed-loop round, split across the client threads
 WARMUP_REQUESTS = 1000
 BATCH_EVERY = 4  # every 4th request is /predict/batch with all 36 pairs
 OPENLOOP_RATE = 200.0  # requests per second
@@ -113,17 +118,29 @@ def compare_outcome(outcome: Outcome, reference: dict, label: str) -> List[str]:
 # ----------------------------------------------------------------------
 # Campaign workloads
 # ----------------------------------------------------------------------
-def _read_products(directory: Path, outcome: Outcome, stats: dict) -> None:
+def campaign_outcome(directory: Path, result) -> Outcome:
+    """Digest the products a repetition left on disk.
+
+    ``result`` is what the campaign returned: ``ensure_*``'s stats, or a
+    planned campaign's ``PlanResult``, whose plan trace is digested too.
+    """
     from repro.core.experiments.cache import ShardedCache
 
+    outcome = Outcome()
+    if isinstance(result, dict):
+        records = result["failure_records"]
+    else:
+        records = result.failure_records
+        outcome.plan_trace = product_digest(result.trace_document())
     for key, value in ShardedCache(directory).snapshot().items():
         outcome.digests[key] = product_digest(value)
-    for record in stats["failure_records"]:
+    for record in records:
         if record["category"] == "unsupported":
             outcome.unsupported += 1
         else:
             outcome.failures.append(f"{record['key']}: {record['category']} failure")
-    outcome.attempted += len(outcome.digests) + len(stats["failure_records"])
+    outcome.attempted = len(outcome.digests) + len(records)
+    return outcome
 
 
 class Campaign(NamedTuple):
@@ -203,23 +220,28 @@ def fluid_512(seed: int) -> Campaign:
 
 def analytic_paper(seed: int) -> Campaign:
     from repro.core.experiments import PipelineSettings, ReproductionPipeline
+
+    settings = PipelineSettings(profile="paper", engine="analytic", seed=seed)
+
+    def build(directory: Path):
+        return ReproductionPipeline(settings=settings, cache_path=directory, workers=1)
+
+    return Campaign(settings.engine, build, lambda pipeline: pipeline.ensure_all(workers=1))
+
+
+def analytic_planned(seed: int) -> Campaign:
+    from repro.core.experiments import PipelineSettings, ReproductionPipeline
     from repro.planner import PlannedCampaign, get_planner
 
     settings = PipelineSettings(profile="paper", engine="analytic", seed=seed)
 
     def build(directory: Path):
-        return (
-            ReproductionPipeline(settings=settings, cache_path=directory / "full", workers=1),
-            ReproductionPipeline(settings=settings, cache_path=directory / "planned", workers=1),
-        )
+        return ReproductionPipeline(settings=settings, cache_path=directory, workers=1)
 
-    def run(pipelines):
-        full, planned = pipelines
-        stats = full.ensure_all(workers=1)
-        plan = PlannedCampaign(
-            planned, get_planner("uncertainty"), max_rounds=4, holdout_per_round=9, workers=1
+    def run(pipeline):
+        return PlannedCampaign(
+            pipeline, get_planner("uncertainty"), max_rounds=4, holdout_per_round=9, workers=1
         ).run()
-        return stats, plan
 
     return Campaign(settings.engine, build, run)
 
@@ -229,60 +251,15 @@ CAMPAIGNS = {
     "sim-compression": sim_compression,
     "fluid-512": fluid_512,
     "analytic-paper": analytic_paper,
+    "analytic-planned": analytic_planned,
 }
 
 
-def campaign_outcome(directory: Path, result) -> Outcome:
-    """Digest the products a repetition left on disk."""
-    outcome = Outcome()
-    if isinstance(result, tuple):  # analytic-paper: full campaign + planned campaign
-        stats, plan = result
-        _read_products(directory / "full", outcome, stats)
-        planned = Outcome()
-        _read_products(directory / "planned", planned, {"failure_records": plan.failure_records})
-        outcome.attempted += planned.attempted
-        outcome.failures += planned.failures
-        for key, digest in planned.digests.items():
-            if outcome.digests.get(key) != digest:
-                outcome.failures.append(f"{key}: planned product differs from the full campaign's")
-        outcome.plan_trace = product_digest(plan.trace_document())
-    else:
-        _read_products(directory, outcome, result)
-    return outcome
-
-
-def landing_clock(stamps: List[float]):
-    """Wrapper factory for ``ShardedCache.put``: note when each product lands."""
-
-    def wrap(put: Callable) -> Callable:
-        def wrapper(*args, **kwargs):
-            stamps.append(time.perf_counter())
-            return put(*args, **kwargs)
-
-        return wrapper
-
-    return wrap
-
-
-def campaign_seconds(intervals: List[List[float]]) -> float:
-    """One campaign's wall time, robust to bursts of machine contention.
-
-    Product landings split every repetition into the same sequence of
-    intervals (``workers=1`` fixes the order); the estimate sums each
-    interval's median across repetitions, so a burst that slows part of
-    one repetition is outvoted by the others.
-    """
-    if len({len(rep) for rep in intervals}) != 1:
-        return statistics.median(sum(rep) for rep in intervals)
-    return sum(statistics.median(column) for column in zip(*intervals))
-
-
 def run_campaign(args, workload: Campaign, first) -> dict:
-    from repro.core.experiments.cache import ShardedCache
-
     tracer = Tracer() if args.trace_dir else None
     walls: Dict[bool, List[float]] = {False: [], True: []}
-    intervals: List[List[float]] = []
+    rescaled: Dict[bool, List[float]] = {False: [], True: []}  # at reference speed
+    probe = SpeedProbe()
     outcomes: List[Outcome] = []
     reference: Optional[dict] = None if args.record else expected_entry(args.workload, args.seed)
     label = f"expected/{args.workload}.json"
@@ -298,22 +275,18 @@ def run_campaign(args, workload: Campaign, first) -> dict:
             directory = Path(args.work_dir) / f"rep{repetition}"
             if built is None:
                 built = workload.build(directory)
-            stamps: List[float] = []
-            probes = tracer if traced else Tracer()
             if traced:
                 install_campaign_probes(tracer)
-            else:
-                probes.patch(ShardedCache, "put", landing_clock(stamps))
-            t0 = time.perf_counter()
             try:
-                result = workload.run(built)
+                with probe:
+                    t0 = time.perf_counter()
+                    result = workload.run(built)
+                    t1 = time.perf_counter()
             finally:
-                t1 = time.perf_counter()
-                probes.restore()
+                if traced:
+                    tracer.restore()
             walls[traced].append(t1 - t0)
-            if not traced:
-                edges = [t0, *stamps, t1]
-                intervals.append([b - a for a, b in zip(edges, edges[1:])])
+            rescaled[traced].append(probe.rescale(t1 - t0))
             built = None
             outcome = campaign_outcome(directory, result)
             shutil.rmtree(directory)
@@ -330,27 +303,28 @@ def run_campaign(args, workload: Campaign, first) -> dict:
         if args.record or elapsed + next_round > args.seconds:
             break
 
-    per_rep = outcomes[0].attempted
-    campaign_s = campaign_seconds(intervals)
     result = {
         "attempted": sum(o.attempted for o in outcomes),
         "failures": failures,
         "outputs": outcomes[0].summary(per_product=args.record),
-        "notes": {
-            "ops_per_s": f"{per_rep} products in {campaign_s:.3f} s per campaign, "
-                         f"from {len(intervals)} campaigns",
-        },
+        "notes": {},
     }
     if tracer is None:
+        per_rep = outcomes[0].attempted
+        campaign_s = statistics.median(rescaled[False])
         result["metrics"] = {
             "ops_per_s": per_rep / campaign_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
+        result["notes"]["ops_per_s"] = (
+            f"{per_rep} products in {campaign_s:.3f} s per campaign at reference speed, "
+            f"median of {len(walls[False])} campaigns"
+        )
         return result
     metrics = layer_metrics(tracer.spans, tracer.counts, len(walls[True]))
     metrics.update(dict.fromkeys(SERVING_LAYER_METRICS, 0.0))
     metrics["trace.overhead_frac"] = (
-        statistics.median(walls[True]) / statistics.median(walls[False]) - 1
+        statistics.median(rescaled[True]) / statistics.median(rescaled[False]) - 1
     )
     result["metrics"] = metrics
     path = write_chrome_trace(
@@ -530,9 +504,11 @@ class ServeLoad:
                 )
         return done - due
 
-    def closed_round(self, port: int, label: str) -> Tuple[float, List[float], List[float]]:
+    def closed_round(
+        self, port: int, label: str, requests: int = ROUND_REQUESTS
+    ) -> Tuple[float, List[float], List[float]]:
         """One closed-loop round; returns its wall time and per-kind latencies."""
-        share = ROUND_REQUESTS // CLIENT_THREADS
+        share = requests // CLIENT_THREADS
         plans = [self.plan(f"{label}/{thread}", share) for thread in range(CLIENT_THREADS)]
         latencies: Dict[str, List[float]] = {"/predict": [], "/predict/batch": []}
 
@@ -626,6 +602,9 @@ def serve_setup(args):
     from repro.core.experiments import PipelineSettings, ReproductionPipeline
     from repro.serving import save_artifact
 
+    # Client and server share one CPU (the server inherits the affinity),
+    # so the client's speed probe sees the CPU the server runs on too.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     work = Path(args.work_dir)
     pipeline = ReproductionPipeline(
         settings=PipelineSettings(profile="paper"),
@@ -661,12 +640,14 @@ def run_serve(args, first) -> dict:
                                       traced_stats))
     else:
         walls = reference["walls"]
+        round_s = statistics.median(reference["rescaled"])
         result["metrics"] = {
-            "ops_per_s": ROUND_REQUESTS / statistics.median(walls),
+            "ops_per_s": ROUND_REQUESTS / round_s,
             "peak_rss_mb": stats["peak_rss_mb"],
         }
         result["notes"]["ops_per_s"] = (
-            f"{ROUND_REQUESTS} requests per closed-loop round, median of {len(walls)} rounds"
+            f"{ROUND_REQUESTS} requests per closed-loop round at reference speed, "
+            f"median of {len(walls)} rounds"
         )
         result["notes"]["peak_rss_mb"] = "server process"
 
@@ -688,19 +669,24 @@ def run_serve(args, first) -> dict:
 
 def _session(load: ServeLoad, server: ServerProcess, label: str, seconds: float) -> dict:
     """Warm-up, then closed-loop rounds until the next would overrun ``seconds``."""
-    for index in range(WARMUP_REQUESTS // ROUND_REQUESTS):
-        load.closed_round(server.port, f"warmup-{label}-{index}")
+    load.closed_round(server.port, f"warmup-{label}", WARMUP_REQUESTS)
     walls: List[float] = []
+    rescaled: List[float] = []  # round times at reference speed
+    probe = SpeedProbe(sockets=True)
     predict: List[float] = []
     batch: List[float] = []
     start = time.perf_counter()
     while True:
-        wall, single, batched = load.closed_round(server.port, f"closed-{label}-{len(walls)}")
+        with probe:
+            wall, single, batched = load.closed_round(
+                server.port, f"closed-{label}-{len(walls)}"
+            )
         walls.append(wall)
+        rescaled.append(probe.rescale(wall))
         predict += single
         batch += batched
         if time.perf_counter() - start + statistics.median(walls) > seconds:
-            return {"walls": walls, "predict": predict, "batch": batch}
+            return {"walls": walls, "rescaled": rescaled, "predict": predict, "batch": batch}
 
 
 def _serving_layers(args, load, reference, session, openloop, lateness, stats) -> dict:
@@ -728,8 +714,8 @@ def _serving_layers(args, load, reference, session, openloop, lateness, stats) -
         "serving.openloop_tail_ms": tail_ms("serving.openloop_tail_ms", openloop),
         "serving.openloop_late_ms": tail_ms("serving.openloop_late_ms", lateness),
         "serving.model_share": model_ns / 1e9 / client_s,
-        "trace.overhead_frac": statistics.median(session["walls"])
-        / statistics.median(reference["walls"]) - 1,
+        "trace.overhead_frac": statistics.median(session["rescaled"])
+        / statistics.median(reference["rescaled"]) - 1,
     })
     path = write_chrome_trace(
         Path(args.trace_dir) / f"{args.workload}-seed{args.seed}.trace.json",
@@ -753,15 +739,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--record", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.workload == "serve-paper":
-        first = serve_setup(args)
-    else:
-        from repro.engine import get_engine
+    with SpeedProbe() as probe:
+        if args.workload == "serve-paper":
+            first = serve_setup(args)
+        else:
+            from repro.engine import get_engine
 
-        workload = CAMPAIGNS[args.workload](args.seed)
-        first = workload.build(Path(args.work_dir) / "rep0")
-        get_engine(workload.engine)
-    print("READY", flush=True)
+            workload = CAMPAIGNS[args.workload](args.seed)
+            first = workload.build(Path(args.work_dir) / "rep0")
+            get_engine(workload.engine)
+    print(f"READY {probe.wall_s!r} {probe.scale()!r}", flush=True)
     if args.setup_only:
         if args.workload == "serve-paper":
             first[2].stop()

@@ -2,19 +2,22 @@
 
 They check the committed ``BENCHMARK.json`` against the schema the
 harness relies on, and the pure helpers every run depends on: the tail
-percentile, the compare rule, digests, self times and the campaign-time
-estimate.  No workload runs here.
+percentile, the compare rule, digests, self times and the rescaling to
+reference speed.  No workload runs here.
 """
 
 import json
 import re
-import statistics
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bench
 from bench_stats import (
+    PROBE_S,
+    SpeedProbe,
     compare_runs,
     percentile,
     product_digest,
@@ -23,7 +26,7 @@ from bench_stats import (
     tail_percentile,
 )
 from bench_trace import LAYER_TARGETS, Tracer, layer_metrics, self_times
-from bench_workloads import CAMPAIGNS, SERVING_LAYER_METRICS, campaign_seconds
+from bench_workloads import CAMPAIGNS, SERVING_LAYER_METRICS
 
 HARNESS = Path(__file__).resolve().parent
 SPEC = json.loads((HARNESS.parent.parent / "BENCHMARK.json").read_text())
@@ -57,19 +60,12 @@ def test_spec_names_units_and_counts():
         assert len(workload["why"]) <= 200 and "\n" not in workload["why"]
     for metric in e2e:
         assert set(metric) == {"name", "unit", "better", "bound"}
-        assert 0 < metric["bound"] <= 0.25
+        assert metric["bound"] > 0
     for metric in layers:
         assert set(metric) == {"name", "unit", "better"}
     for metric in e2e + layers:
         assert UNIT.fullmatch(metric["unit"]), metric
         assert metric["better"] in ("lower", "higher")
-
-
-def test_setup_time_has_the_largest_bound():
-    by_name = {metric["name"]: metric for metric in SPEC["end_to_end"]}
-    setup = by_name["setup_s"]
-    assert (setup["unit"], setup["better"]) == ("s", "lower")
-    assert setup["bound"] == max(metric["bound"] for metric in SPEC["end_to_end"])
 
 
 def test_every_layer_metric_names_an_e2e_metric_and_workload():
@@ -100,6 +96,17 @@ def test_expected_outputs_cover_seeds_zero_and_one(workload):
     for seed in ("0", "1"):
         entry = seeds[seed]
         assert entry["set"] == set_digest(entry["products"])
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_planned_products_equal_the_full_campaigns(seed):
+    def products(workload):
+        document = json.loads((HARNESS / "expected" / f"{workload}.json").read_text())
+        return document["seeds"][seed]["products"]
+
+    full, planned = products("analytic-paper"), products("analytic-planned")
+    assert planned and set(planned) <= set(full)
+    assert {key: full[key] for key in planned} == planned
 
 
 def test_expected_serving_error_is_the_committed_caches():
@@ -221,8 +228,28 @@ def test_self_time_subtracts_children():
     assert self_times(spans) == {1: 50, 2: 25, 3: 20, 4: 5}
 
 
-def test_campaign_seconds_outvotes_one_slow_repetition():
-    steady = [1.0, 2.0, 0.5]
-    burst = [1.0, 4.0, 0.5]
-    assert campaign_seconds([steady, burst, steady]) == pytest.approx(3.5)
-    assert campaign_seconds([[3.0], [4.0, 1.0], [5.0]]) == statistics.median([3.0, 5.0, 5.0])
+def test_probe_rescales_to_reference_speed():
+    probe = SpeedProbe()
+    assert probe.rescale(3.0) == 3.0
+    # Twice as slow throughout: twice the wall time, less the probe's, reads the same.
+    probe.samples, probe.wall_s = [2 * PROBE_S] * 10, 0.5
+    assert probe.rescale(6.5) == pytest.approx(3.0)
+    # Evenly spaced samples weight each stretch by the work done in it.
+    probe.samples = [PROBE_S, 3 * PROBE_S]
+    assert probe.scale() == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("sockets", [False, True])
+def test_probe_samples_a_running_phase(sockets):
+    with SpeedProbe(sockets=sockets) as probe:
+        deadline = time.perf_counter() + 0.2
+        while time.perf_counter() < deadline:
+            pass
+    assert probe.samples and all(sample > 0 for sample in probe.samples)
+    assert 0 < probe.wall_s < 0.2
+
+
+def test_run_length_is_the_benchmarks(capsys):
+    seconds = SPEC["run_seconds"]
+    assert bench.main(["run", "--workload", "sim-apps", "--seconds", str(seconds + 1)]) == 2
+    assert "run_seconds" in capsys.readouterr().err
