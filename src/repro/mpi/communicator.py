@@ -8,6 +8,7 @@ on with :meth:`wait`/:meth:`waitall`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence
 
 from ..errors import MPIError
@@ -29,21 +30,21 @@ RENDEZVOUS_CONTROL_BYTES = 64
 class Comm:
     """One rank's communicator."""
 
-    __slots__ = ("world", "rank", "_collective_seq")
+    __slots__ = (
+        "world", "rank", "size", "sim", "_collective_seq", "_node", "_flow", "_send_name"
+    )
 
     def __init__(self, world: "MPIWorld", rank: int) -> None:
         self.world = world
         self.rank = rank
+        #: Number of ranks in the world.
+        self.size = world.size
+        self.sim = world.machine.sim
         self._collective_seq = 0
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the world."""
-        return self.world.size
-
-    @property
-    def sim(self):
-        return self.world.machine.sim
+        self._node = world.node_of(rank)
+        #: Arbitration and ECMP key of every message this rank sends.
+        self._flow = (world.name, rank)
+        self._send_name = f"rank{rank}.send"
 
     # ------------------------------------------------------------------
     # Point-to-point, nonblocking
@@ -64,23 +65,19 @@ class Comm:
             raise MPIError(f"send tag must be non-negative, got {tag}")
         world = self.world
         sim = self.sim
-        envelope = Envelope(
-            src=self.rank, dst=dest, tag=tag, nbytes=nbytes,
-            payload=payload, sent_at=sim.now,
-        )
-        request = Request(sim.event(f"rank{self.rank}.send"), "send")
-        engine = world.engine(dest)
+        envelope = Envelope(self.rank, dest, tag, nbytes, payload, sim._now)
+        request = Request(sim, "send", self._send_name)
         threshold = world.eager_threshold
         if threshold is not None and nbytes > threshold:
             self._rendezvous_send(envelope, request)
             return request
         world.machine.network.send(
-            world.node_of(self.rank),
+            self._node,
             world.node_of(dest),
             nbytes,
-            on_delivered=lambda: engine.deliver(envelope),
-            on_sent=lambda: request.event.succeed(),
-            flow=(world.name, self.rank),
+            partial(world.engine(dest).deliver, envelope),
+            request.succeed,
+            self._flow,
         )
         return request
 
@@ -88,10 +85,9 @@ class Comm:
         """RTS → match → CTS → data (see :meth:`isend`)."""
         world = self.world
         network = world.machine.network
-        src_node = world.node_of(self.rank)
+        src_node = self._node
         dst_node = world.node_of(envelope.dst)
-        flow = (world.name, self.rank)
-        engine = world.engine(envelope.dst)
+        flow = self._flow
 
         def on_match(recv_request: Request) -> None:
             # Receiver matched the RTS: return the clear-to-send.
@@ -99,7 +95,7 @@ class Comm:
                 dst_node,
                 src_node,
                 RENDEZVOUS_CONTROL_BYTES,
-                on_delivered=lambda: stream_data(recv_request),
+                on_delivered=partial(stream_data, recv_request),
                 flow=(world.name, envelope.dst),
             )
 
@@ -108,8 +104,8 @@ class Comm:
                 src_node,
                 dst_node,
                 envelope.nbytes,
-                on_delivered=lambda: recv_request._fulfill_recv(envelope),
-                on_sent=lambda: send_request.event.succeed(),
+                on_delivered=partial(recv_request._fulfill_recv, envelope),
+                on_sent=send_request.succeed,
                 flow=flow,
             )
 
@@ -119,7 +115,7 @@ class Comm:
             src_node,
             dst_node,
             RENDEZVOUS_CONTROL_BYTES,
-            on_delivered=lambda: engine.deliver(envelope),
+            on_delivered=partial(world.engine(envelope.dst).deliver, envelope),
             flow=flow,
         )
 
@@ -139,12 +135,12 @@ class Comm:
             the received payload for receives, ``None`` for sends.
         """
         tracer = self.world.tracer
-        if tracer is not None and not request.event.triggered:
+        if tracer is not None and not request.triggered:
             start = self.sim.now
-            value = yield request.event
+            value = yield request
             tracer.record(self.rank, "wait", start, self.sim.now)
         else:
-            value = yield request.event
+            value = yield request
         if request.kind == "recv":
             envelope: Envelope = value
             return envelope.payload
@@ -156,7 +152,7 @@ class Comm:
         Returns:
             per-request payloads (``None`` for sends), in request order.
         """
-        combined = self.sim.all_of([request.event for request in requests])
+        combined = self.sim.all_of(requests)
         tracer = self.world.tracer
         if tracer is not None and not combined.triggered:
             start = self.sim.now
@@ -257,8 +253,8 @@ class Comm:
 
     # ------------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.world.size:
-            raise MPIError(f"rank {rank} out of range [0, {self.world.size})")
+        if not 0 <= rank < self.size:
+            raise MPIError(f"rank {rank} out of range [0, {self.size})")
         if rank == self.rank:
             # Self-messaging is legal MPI but almost always a bug in these
             # workloads; allow it (the network handles src==dst) but only

@@ -18,24 +18,17 @@ from .request import Request
 __all__ = ["MatchingEngine"]
 
 
-def _matches(want_source: int, want_tag: int, envelope: Envelope) -> bool:
-    if want_source != ANY_SOURCE and envelope.src != want_source:
-        return False
-    if want_tag != ANY_TAG and envelope.tag != want_tag:
-        return False
-    return True
-
-
 class MatchingEngine:
     """Receive-matching state for one rank."""
 
-    __slots__ = ("sim", "rank", "_posted", "_unexpected")
+    __slots__ = ("sim", "rank", "_posted", "_unexpected", "_recv_name")
 
     def __init__(self, sim: Simulator, rank: int) -> None:
         self.sim = sim
         self.rank = rank
         self._posted: Deque[Tuple[int, int, Request]] = deque()
         self._unexpected: Deque[Envelope] = deque()
+        self._recv_name = f"rank{rank}.recv"
 
     @property
     def posted_count(self) -> int:
@@ -53,10 +46,13 @@ class MatchingEngine:
         If an unexpected message already matches, the request completes
         immediately (at the current simulated time).
         """
-        request = Request(self.sim.event(f"rank{self.rank}.recv"), "recv")
-        for index, envelope in enumerate(self._unexpected):
-            if _matches(source, tag, envelope):
-                del self._unexpected[index]
+        request = Request(self.sim, "recv", self._recv_name)
+        unexpected = self._unexpected
+        for index, envelope in enumerate(unexpected):
+            if (source == ANY_SOURCE or envelope.src == source) and (
+                tag == ANY_TAG or envelope.tag == tag
+            ):
+                del unexpected[index]
                 self._complete_match(envelope, request)
                 return request
         self._posted.append((source, tag, request))
@@ -64,10 +60,15 @@ class MatchingEngine:
 
     def deliver(self, envelope: Envelope) -> None:
         """A message has fully arrived; match it or queue it."""
-        envelope.delivered_at = self.sim.now
-        for index, (source, tag, request) in enumerate(self._posted):
-            if _matches(source, tag, envelope):
-                del self._posted[index]
+        envelope.delivered_at = self.sim._now
+        src = envelope.src
+        tag = envelope.tag
+        posted = self._posted
+        for index, (want_source, want_tag, request) in enumerate(posted):
+            if (want_source == ANY_SOURCE or want_source == src) and (
+                want_tag == ANY_TAG or want_tag == tag
+            ):
+                del posted[index]
                 self._complete_match(envelope, request)
                 return
         self._unexpected.append(envelope)

@@ -61,7 +61,7 @@ class RankContext:
 
     @property
     def now(self) -> float:
-        return self.world.machine.sim.now
+        return self.comm.sim._now
 
     @property
     def clock_hz(self) -> float:
@@ -76,7 +76,7 @@ class RankContext:
         ``jitter`` is the shape parameter (0 = deterministic; 0.02 gives ~2%
         runtime noise, typical of real kernels).
         """
-        if seconds < 0:
+        if not seconds >= 0:  # negative or NaN
             raise MPIError(f"compute time must be non-negative, got {seconds}")
         if jitter > 0:
             seconds *= float(self.rng.lognormal(0.0, jitter))
@@ -93,7 +93,7 @@ class RankContext:
 
     def sleep(self, seconds: float):
         """Idle for ``seconds`` (e.g. ImpactB's inter-probe gap)."""
-        if seconds < 0:
+        if not seconds >= 0:  # negative or NaN
             raise MPIError(f"sleep time must be non-negative, got {seconds}")
         if seconds > 0:
             tracer = self.world.tracer

@@ -10,7 +10,7 @@ messages bypass the network (shared-memory path).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -27,6 +27,16 @@ __all__ = ["InterconnectNetwork"]
 
 DeliveredCallback = Callable[[], None]
 SentCallback = Callable[[], None]
+
+
+def _sent_then_delivered(on_sent: SentCallback, on_delivered: DeliveredCallback) -> None:
+    """A shared-memory message: local send completion, then delivery.
+
+    Both happen at the same instant, so one heap entry runs them in the
+    order two adjacent entries would.
+    """
+    on_sent()
+    on_delivered()
 
 
 class _PendingMessage:
@@ -130,6 +140,9 @@ class InterconnectNetwork:
             self.switches[src_id].connect_uplink(dst_switch, link)
         self._message_ids = itertools.count()
         self._pending: Dict[int, _PendingMessage] = {}
+        # Switch route per (src, dst, flow): routing is a pure function of
+        # the three, so each is computed once.
+        self._routes: Dict[Tuple[int, int, object], Tuple[object, ...]] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
         # Packet-conservation ledger (the fault model's bookkeeping).
@@ -294,9 +307,10 @@ class InterconnectNetwork:
         if src_node == dst_node:
             # Shared-memory path: no NIC, no fabric.
             delay = self.config.local_latency + nbytes / self.config.local_bandwidth
-            if on_sent is not None:
-                self.sim.schedule(delay, on_sent)
-            self.sim.schedule(delay, on_delivered)
+            if on_sent is None:
+                self.sim.schedule(delay, on_delivered)
+            else:
+                self.sim.schedule(delay, _sent_then_delivered, on_sent, on_delivered)
             return message_id
 
         # The flow key drives both ECMP path selection and per-flow
@@ -305,11 +319,13 @@ class InterconnectNetwork:
         packets = packetize(
             message_id, nbytes, self.config.mtu, src_node, dst_node, flow=flow_key
         )
-        route_ids = self.topology.route_flow(src_node, dst_node, flow_key)
-        route = tuple(self.switches[i] for i in route_ids)
+        route_key = (src_node, dst_node, flow_key)
+        route = self._routes.get(route_key)
+        if route is None:
+            route_ids = self.topology.route_flow(src_node, dst_node, flow_key)
+            route = self._routes[route_key] = tuple(self.switches[i] for i in route_ids)
         for packet in packets:
             packet.route = route
-            packet.hop = 0
         self._pending[message_id] = _PendingMessage(len(packets), on_delivered)
 
         self.packets_offered += len(packets)

@@ -84,21 +84,36 @@ class NIC:
             if on_complete is not None:
                 self.sim.schedule(0.0, on_complete)
             return
+        now = self.sim._now
         last_index = len(packets) - 1
-        for index, packet in enumerate(packets):
-            packet.injected_at = self.sim.now
-            flow_queue = self._flows.get(packet.flow)
+        first = 0
+        if not self._busy:
+            # An idle NIC's queues are empty: the first packet goes straight
+            # into service, as if it were queued and popped back at once.
+            packet = packets[0]
+            packet.injected_at = now
+            self._start(packet, handoff, on_complete if last_index == 0 else None)
+            first = 1
+        flows = self._flows
+        order = self._order
+        for index in range(first, last_index + 1):
+            packet = packets[index]
+            packet.injected_at = now
+            flow_queue = flows.get(packet.flow)
             if flow_queue is None:
-                self._flows[packet.flow] = flow_queue = deque()
-                self._order.append(packet.flow)
+                flows[packet.flow] = flow_queue = deque()
+                order.append(packet.flow)
             callback = on_complete if index == last_index else None
             flow_queue.append((packet, handoff, callback))
-            self._queued += 1
-        if not self._busy:
-            self._serve_next()
+        self._queued += last_index + 1 - first
+        if first and len(order) > 1 and packets[0].flow in flows:
+            # Round robin: the flow just served goes behind every other.
+            order.remove(packets[0].flow)
+            order.append(packets[0].flow)
 
     # ------------------------------------------------------------------
     def _serve_next(self) -> None:
+        """Pop the next packet in round-robin flow order and serve it."""
         flow = self._order.popleft()
         flow_queue = self._flows[flow]
         packet, handoff, callback = flow_queue.popleft()
@@ -107,6 +122,14 @@ class NIC:
             self._order.append(flow)  # rotate to the back
         else:
             del self._flows[flow]
+        self._start(packet, handoff, callback)
+
+    def _start(
+        self,
+        packet: Packet,
+        handoff: Handoff,
+        callback: Optional[CompletionCallback],
+    ) -> None:
         self._busy = True
         serialization = (
             self.link.serialization_time(packet.size) + self.min_packet_overhead

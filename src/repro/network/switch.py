@@ -145,7 +145,7 @@ class SwitchFabric(_SwitchBase):
     # ------------------------------------------------------------------
     def arrive(self, packet: Packet) -> None:
         """A packet arrives at an input port and joins the fabric queue."""
-        packet.arrived_fabric_at = self.sim.now
+        packet.arrived_fabric_at = self.sim._now
         self.stats.record_arrival(len(self._queue))
         if self._busy < self.servers:
             self._start_service(packet)
@@ -155,7 +155,7 @@ class SwitchFabric(_SwitchBase):
     def _start_service(self, packet: Packet) -> None:
         self._busy += 1
         service = self._service.next()
-        wait = self.sim.now - packet.arrived_fabric_at
+        wait = self.sim._now - packet.arrived_fabric_at
         self.sim.schedule(service, self._complete, packet, wait, service)
 
     def _complete(self, packet: Packet, wait: float, service: float) -> None:
@@ -188,16 +188,19 @@ class _OutputPort:
         self.busy_time = 0.0
 
     def arrive(self, packet: Packet) -> None:
-        packet.arrived_fabric_at = self.switch.sim.now
-        self.switch.stats.record_arrival(self.queued)
+        switch = self.switch
+        packet.arrived_fabric_at = switch.sim._now
+        switch.stats.record_arrival(self.queued)
+        if not self.busy:
+            # An idle port's queues are empty: serve the packet at once.
+            self._start(packet)
+            return
         flow_queue = self.flows.get(packet.flow)
         if flow_queue is None:
             self.flows[packet.flow] = flow_queue = deque()
             self.order.append(packet.flow)
         flow_queue.append(packet)
         self.queued += 1
-        if not self.busy:
-            self._serve_next()
 
     def _serve_next(self) -> None:
         """Pop the next packet in round-robin flow order and serve it."""
@@ -211,11 +214,15 @@ class _OutputPort:
             order.append(flow)  # rotate: flow goes to the back
         else:
             del flows[flow]
+        self._start(packet)
+
+    def _start(self, packet: Packet) -> None:
         self.busy = True
         switch = self.switch
+        sim = switch.sim
         service = packet.size / switch.port_bandwidth + switch._overhead.next()
-        wait = switch.sim.now - packet.arrived_fabric_at
-        switch.sim.schedule(service, self._complete, packet, wait, service)
+        wait = sim._now - packet.arrived_fabric_at
+        sim.schedule(service, self._complete, packet, wait, service)
 
     def _complete(self, packet: Packet, wait: float, service: float) -> None:
         switch = self.switch
@@ -267,16 +274,14 @@ class OutputQueuedSwitch(_SwitchBase):
         self._ports: Dict[Hashable, _OutputPort] = {}
         self._overhead = SampleStream(overhead_model, rng)
 
-    def _output_key(self, packet: Packet) -> Hashable:
+    def arrive(self, packet: Packet) -> None:
+        """Forward a packet to its output port queue."""
         route = packet.route
         if route is not None and packet.hop + 1 < len(route):
             # Intermediate hop: the output port faces the next switch.
-            return ("up", id(route[packet.hop + 1]))
-        return packet.dst_node
-
-    def arrive(self, packet: Packet) -> None:
-        """Forward a packet to its output port queue."""
-        key = self._output_key(packet)
+            key: Hashable = ("up", id(route[packet.hop + 1]))
+        else:
+            key = packet.dst_node
         port = self._ports.get(key)
         if port is None:
             port = _OutputPort(self)

@@ -4,11 +4,18 @@ A :class:`SimEvent` is a one-shot condition that simulated processes can wait
 on by ``yield``-ing it.  Events are triggered exactly once via
 :meth:`SimEvent.succeed`; callbacks registered before or after the trigger all
 fire in deterministic order at the simulated instant of the trigger.
+
+An :class:`AllOf` is counted down synchronously: a child's ``succeed`` calls
+it in place of scheduling a callback, and only the child that brings the
+count to zero schedules the zero-delay entry that fires it — at the point in
+the child's callback loop where a callback would have been scheduled.  The
+heap entries this saves each did nothing but decrement the count, so the
+order of every callback with side effects is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Union
 
 from ..errors import SimulationError
 
@@ -18,6 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SimEvent", "AllOf", "AnyOf"]
 
 Callback = Callable[["SimEvent"], None]
+
+_NAN = float("nan")
 
 
 class SimEvent:
@@ -33,9 +42,11 @@ class SimEvent:
         self.sim = sim
         self.name = name
         self.value: Any = None
-        self._callbacks: Optional[List[Callback]] = []
+        # Callbacks to schedule on trigger; AllOf parents sit among them,
+        # in registration order, and are counted down in place.
+        self._callbacks: Optional[List[Union[Callback, "AllOf"]]] = []
         self._triggered = False
-        self._trigger_time: float = float("nan")
+        self._trigger_time: float = _NAN
 
     @property
     def triggered(self) -> bool:
@@ -68,13 +79,17 @@ class SimEvent:
         if self._triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
-        self._trigger_time = self.sim.now
+        sim = self.sim
+        self._trigger_time = sim._now
         self.value = value
         callbacks = self._callbacks
         self._callbacks = None  # break reference cycles, catch double fire
         if callbacks:
             for callback in callbacks:
-                self.sim.schedule(0.0, callback, self)
+                if isinstance(callback, AllOf):
+                    callback._count_down()
+                else:
+                    sim.schedule(0.0, callback, self)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -86,25 +101,37 @@ class AllOf(SimEvent):
     """Composite event that fires once **all** child events have fired.
 
     Its value is the list of child values in the order the children were
-    given (not trigger order).
+    given (not trigger order).  It fires one zero-delay hop after its last
+    child triggers, and its own waiters resume one hop after that.
     """
 
     __slots__ = ("_children", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[SimEvent], name: str = "") -> None:
         super().__init__(sim, name or "all_of")
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
+        self._children = children = list(events)
+        if not children:
+            self._pending = 0
             self.succeed([])
             return
-        for child in self._children:
-            child.on_trigger(self._child_done)
+        pending = len(children)
+        for child in children:
+            if child._triggered:
+                pending -= 1  # already fired: counted, nothing to wait for
+            else:
+                child._callbacks.append(self)  # counted down by child.succeed
+        self._pending = pending
+        if pending == 0:
+            sim.schedule(0.0, self._fire)
 
-    def _child_done(self, _event: SimEvent) -> None:
+    def _count_down(self) -> None:
+        """One child fired; the last one schedules the firing entry."""
         self._pending -= 1
-        if self._pending == 0 and not self.triggered:
-            self.succeed([child.value for child in self._children])
+        if self._pending == 0:
+            self.sim.schedule(0.0, self._fire)
+
+    def _fire(self) -> None:
+        self.succeed([child.value for child in self._children])
 
 
 class AnyOf(SimEvent):

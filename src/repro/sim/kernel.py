@@ -23,6 +23,9 @@ from .events import AllOf, AnyOf, SimEvent
 
 __all__ = ["Simulator", "ScheduledCall"]
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 
 class ScheduledCall:
     """Handle for a cancellable scheduled callback."""
@@ -106,7 +109,12 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Number of callbacks executed so far (for budgeting/diagnostics)."""
+        """Number of callbacks executed so far (for budgeting/diagnostics).
+
+        ``run`` and ``run_until_event`` tally in a local and add it here
+        when they return, so a callback reading this mid-run sees the count
+        as of the start of the current run.
+        """
         return self._events_executed
 
     @property
@@ -177,10 +185,10 @@ class Simulator:
         Raises:
             SimulationError: if ``delay`` is negative or NaN.
         """
-        if delay < 0.0 or math.isnan(delay):
+        if not delay >= 0.0:  # negative or NaN
             raise SimulationError(f"cannot schedule with delay {delay!r}")
         self._sequence += 1
-        heapq.heappush(self._heap, (self._now + delay, self._sequence, fn, args))
+        _heappush(self._heap, (self._now + delay, self._sequence, fn, args))
         # One compare per schedule keeps the queue-depth high-water mark
         # without any per-event work in the run loop.  Net of cancelled
         # entries, so max_pending stays a true live-queue-depth mark.
@@ -199,7 +207,7 @@ class Simulator:
                 f"cannot schedule at t={time!r}; current time is {self._now!r}"
             )
         self._sequence += 1
-        heapq.heappush(self._heap, (time, self._sequence, fn, args))
+        _heappush(self._heap, (time, self._sequence, fn, args))
         depth = len(self._heap) - self._cancelled
         if depth > self._max_pending:
             self._max_pending = depth
@@ -208,11 +216,11 @@ class Simulator:
         self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> ScheduledCall:
         """Like :meth:`schedule` but returns a cancellable handle."""
-        if delay < 0.0 or math.isnan(delay):
+        if not delay >= 0.0:  # negative or NaN
             raise SimulationError(f"cannot schedule with delay {delay!r}")
         entry = ScheduledCall(self._now + delay, fn, args, self)
         self._sequence += 1
-        heapq.heappush(self._heap, (entry.time, self._sequence, entry._run, ()))
+        _heappush(self._heap, (entry.time, self._sequence, entry._run, ()))
         depth = len(self._heap) - self._cancelled
         if depth > self._max_pending:
             self._max_pending = depth
@@ -251,7 +259,7 @@ class Simulator:
         heap = self._heap
         if not heap:
             return False
-        time, _seq, fn, args = heapq.heappop(heap)
+        time, _seq, fn, args = _heappop(heap)
         self._now = time
         self._events_executed += 1
         fn(*args)
@@ -264,16 +272,21 @@ class Simulator:
         if any work remained beyond it.
 
         Raises:
-            SimulationError: on re-entrant ``run`` or exhausted event budget.
+            SimulationError: on re-entrant ``run``, on ``until`` before the
+                current time (or NaN), or on an exhausted event budget.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
+        if not until >= self._now:  # in the past, or NaN
+            raise SimulationError(
+                f"cannot run until t={until!r}; current time is {self._now!r}"
+            )
         budget = math.inf if max_events is None else max_events
         heap = self._heap
-        pop = heapq.heappop
+        pop = _heappop
         self._running = True
+        executed = 0
         try:
-            executed = 0
             while heap:
                 if heap[0][0] > until:
                     self._now = until
@@ -285,7 +298,6 @@ class Simulator:
                 time, _seq, fn, args = pop(heap)
                 self._now = time
                 executed += 1
-                self._events_executed += 1
                 fn(*args)
             # math.isinf, not an identity check: a caller's float("inf") is
             # equal to math.inf but not the same object, and the clock must
@@ -293,6 +305,7 @@ class Simulator:
             if not math.isinf(until) and until > self._now:
                 self._now = until
         finally:
+            self._events_executed += executed
             self._running = False
 
     def run_until_event(self, event: SimEvent, max_events: Optional[int] = None) -> Any:
@@ -306,11 +319,11 @@ class Simulator:
             raise SimulationError("Simulator.run_until_event() is not re-entrant")
         budget = math.inf if max_events is None else max_events
         heap = self._heap
-        pop = heapq.heappop
+        pop = _heappop
         self._running = True
         executed = 0
         try:
-            while not event.triggered:
+            while not event._triggered:
                 if not heap:
                     raise SimulationError(
                         f"simulation ran dry before event {event.name!r} triggered"
@@ -322,8 +335,8 @@ class Simulator:
                 time, _seq, fn, args = pop(heap)
                 self._now = time
                 executed += 1
-                self._events_executed += 1
                 fn(*args)
         finally:
+            self._events_executed += executed
             self._running = False
         return event.value

@@ -78,8 +78,9 @@ class Process:
         if isinstance(target, SimEvent):
             target.on_trigger(self._resume_from_event)
         elif isinstance(target, (float, int)):
-            if target < 0:
-                self._fail(SimulationError(f"process {self.name!r} yielded negative delay {target!r}"))
+            if not target >= 0:
+                kind = "negative" if target < 0 else "NaN"
+                self._fail(SimulationError(f"process {self.name!r} yielded {kind} delay {target!r}"))
                 return
             self.sim.schedule(float(target), self._resume, None)
         elif isinstance(target, Process):

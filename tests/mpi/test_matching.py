@@ -121,4 +121,4 @@ def test_request_kind_validation():
     from repro.mpi import Request
 
     with pytest.raises(ValueError):
-        Request(Simulator().event(), "bogus")
+        Request(Simulator(), "bogus")

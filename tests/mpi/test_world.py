@@ -127,6 +127,23 @@ def test_negative_compute_rejected(machine):
         machine.sim.run_until_event(job.done)
 
 
+@pytest.mark.parametrize("phase", ["compute", "sleep"])
+def test_nan_compute_and_sleep_rejected(machine, phase):
+    # Regression: NaN passed the ``seconds < 0`` check and the phase took
+    # zero simulated time.
+    from repro.errors import ProcessFailure
+
+    world = MPIWorld.create(machine, PerSocketPlacement(1), name="w")
+
+    def workload(ctx):
+        yield from getattr(ctx, phase)(float("nan"))
+
+    job = world.launch(workload)
+    with pytest.raises(ProcessFailure, match=f"{phase} time must be non-negative") as info:
+        machine.sim.run_until_event(job.done)
+    assert isinstance(info.value.__cause__, MPIError)
+
+
 def test_zero_compute_and_sleep_are_instant(machine):
     world = MPIWorld.create(machine, PerSocketPlacement(1), name="w")
 

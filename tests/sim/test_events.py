@@ -123,3 +123,48 @@ def test_any_of_tolerates_multiple_triggers():
     sim.schedule(1.0, kids[1].succeed, "second")
     sim.run()
     assert combo.value == (0, "first")
+
+
+def test_entry_between_last_child_and_all_of_firing_runs_before_waiter():
+    """An AllOf fires one hop after its last child, and its waiter one hop
+    later; work scheduled at the same instant in between runs first."""
+    sim = Simulator()
+    kids = [sim.event("k0"), sim.event("k1")]
+    combo = sim.all_of(kids)
+    order = []
+
+    def waiter():
+        yield combo
+        order.append("waiter")
+
+    def trigger_last():
+        kids[1].succeed("b")
+        sim.schedule(0.0, order.append, "between")
+
+    sim.spawn(waiter(), "waiter")
+    sim.schedule(1.0, kids[0].succeed, "a")
+    sim.schedule(2.0, trigger_last)
+    sim.run()
+    assert order == ["between", "waiter"]
+    assert combo.trigger_time == 2.0
+
+
+def test_child_with_direct_waiter_and_all_of_keeps_registration_order():
+    """A child's direct waiters and the AllOfs over it are served in the
+    order they registered, so each AllOf fires where it registered."""
+    sim = Simulator()
+    child = sim.event("child")
+    order = []
+    first = sim.all_of([child], name="first")
+    first.on_trigger(lambda e: order.append("first.waiter"))
+
+    def direct(event):
+        order.append("direct")
+        sim.schedule(0.0, order.append, "direct.follow-up")
+
+    child.on_trigger(direct)
+    second = sim.all_of([child], name="second")
+    second.on_trigger(lambda e: order.append("second.waiter"))
+    sim.schedule(1.0, child.succeed)
+    sim.run()
+    assert order == ["direct", "first.waiter", "direct.follow-up", "second.waiter"]

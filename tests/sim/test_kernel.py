@@ -107,6 +107,31 @@ def test_run_with_empty_heap_and_infinite_until_keeps_clock():
     assert sim.now == 2.0
 
 
+def test_run_until_before_now_raises_and_keeps_clock():
+    # Regression: run(until=t) with t in the past rewound the clock, so a
+    # later zero-delay schedule landed in the simulated past.
+    sim = Simulator()
+    sim.schedule(3.0, lambda: None)
+    sim.run()
+    assert sim.now == 3.0
+    with pytest.raises(SimulationError, match="current time is 3.0"):
+        sim.run(until=1.0)
+    assert sim.now == 3.0
+    hits = []
+    sim.schedule(0.0, lambda: hits.append(sim.now))
+    sim.run(until=3.0)  # until == now is allowed
+    assert hits == [3.0]
+
+
+def test_run_until_nan_raises():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+    assert sim.pending == 1
+
+
 def test_callbacks_scheduled_during_run_execute():
     sim = Simulator()
     hits = []

@@ -171,6 +171,25 @@ def test_negative_delay_from_process_raises():
         sim.run()
 
 
+def test_nan_delay_from_process_fails_like_negative():
+    # Regression: NaN escaped the negative-delay check, surfaced as an
+    # unnamed kernel error, and left the process alive with an open generator.
+    sim = Simulator()
+    closed = []
+
+    def bad():
+        try:
+            yield float("nan")
+        finally:
+            closed.append(True)
+
+    process = sim.spawn(bad(), "bad")
+    with pytest.raises(SimulationError, match="process 'bad' yielded NaN delay"):
+        sim.run()
+    assert not process.alive
+    assert closed == [True]
+
+
 def test_spawn_requires_generator():
     sim = Simulator()
     with pytest.raises(SimulationError, match="generator"):
