@@ -933,9 +933,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.cost_from
             else CostModel.from_settings(pipeline.settings)
         )
-        raw_keys = [
-            key.rsplit(":", 1)[-1] for key in pipeline.product_keys()
-        ]
+        raw_keys = [pipeline.raw_key(key) for key in pipeline.product_keys()]
         pending = [raw for raw in raw_keys if not pipeline.has_product(raw)]
         budget = args.measurement_budget
         by_kind: dict = {}

@@ -34,6 +34,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set
 
 from ...faults import active_fault_plan
+from ...telemetry.live import LIVE_REPORT_NAME
+from ...telemetry.report import TELEMETRY_REPORT_NAME
 
 __all__ = ["ShardedCache", "group_of", "SHARD_FORMAT"]
 
@@ -42,9 +44,13 @@ _SAFE_GROUP = re.compile(r"[^A-Za-z0-9_.-]")
 #: Current on-disk shard format version.
 SHARD_FORMAT = 2
 
+#: Name of the machine-readable failure report written into the cache
+#: directory by every campaign call.
+FAILURE_REPORT_NAME = "failure_report.json"
+
 #: Files inside the cache directory that are not shards (never loaded,
-#: never quarantined).
-RESERVED_FILES = frozenset({"failure_report.json", "telemetry.json"})
+#: never quarantined): the failure report and the telemetry reports.
+RESERVED_FILES = frozenset({FAILURE_REPORT_NAME, TELEMETRY_REPORT_NAME, LIVE_REPORT_NAME})
 
 
 def group_of(key: str) -> str:

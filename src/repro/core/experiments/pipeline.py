@@ -11,9 +11,11 @@ Reproducing the paper end to end needs ~330 simulation runs:
 
 Every run is a pure function of ``(settings, machine_config, workload)``, so
 the campaign decomposes into picklable :class:`ExperimentDescriptor` s that
-:meth:`ReproductionPipeline.ensure_all` fans out through
-:func:`repro.parallel.run_tasks` in two dependency stages (measurements
-after calibration, then degradations/co-runs after baselines), under a
+:meth:`ReproductionPipeline.ensure_products` — the one campaign executor,
+behind both :meth:`~ReproductionPipeline.ensure_all` and the adaptive
+planner — fans out through :func:`repro.parallel.run_tasks` in two
+dependency stages (measurements after calibration, then degradations/co-runs
+after baselines), under a
 retry/timeout policy that turns permanent failures into structured
 :class:`~repro.errors.FailureRecord` holes instead of a dead campaign.
 
@@ -50,7 +52,7 @@ from ...telemetry.report import TELEMETRY_REPORT_NAME, build_report, write_repor
 from ...units import MS
 from ...workloads import CompressionConfig, Workload
 from ..models import PredictionEngine, default_models
-from .cache import ShardedCache
+from .cache import FAILURE_REPORT_NAME, ShardedCache
 from .catalog import APP_NAMES, paper_applications, paper_compression_catalog, quick_compression_catalog
 from .compression import CompressionObservation
 from .impact import ImpactResult
@@ -59,13 +61,9 @@ __all__ = [
     "PipelineSettings",
     "ReproductionPipeline",
     "ExperimentDescriptor",
+    "enforce_failure_budget",
     "run_experiment",
 ]
-
-#: Name of the machine-readable failure report written into the cache
-#: directory after each campaign (reserved: never loaded as a shard).
-FAILURE_REPORT_NAME = "failure_report.json"
-
 
 @dataclass(frozen=True)
 class PipelineSettings:
@@ -172,6 +170,29 @@ def run_experiment(descriptor: ExperimentDescriptor) -> object:
     if telemetry.enabled():
         telemetry.registry().counter_inc("pipeline.experiments_completed")
     return value
+
+
+def enforce_failure_budget(records: Sequence[Dict[str, object]], budget: int) -> None:
+    """Raise :class:`~repro.errors.CampaignError` if failures overrun ``budget``.
+
+    ``records`` are failure records as dicts (the campaign stats' form).
+    ``unsupported`` records — deterministic model refusals and their
+    cascades — are documented holes, not flakiness, so they are exempt;
+    every other category is charged.  More charged records than
+    ``budget`` raises a ``CampaignError`` carrying them.
+    """
+    charged = [
+        FailureRecord.from_dict(record)
+        for record in records
+        if record["category"] != "unsupported"
+    ]
+    if len(charged) > budget:
+        raise CampaignError(
+            f"{len(charged)} experiment(s) failed permanently, exceeding "
+            f"the failure budget of {budget}: "
+            + "; ".join(record.describe() for record in charged),
+            charged,
+        )
 
 
 class _CampaignProgress:
@@ -296,8 +317,8 @@ class ReproductionPipeline:
         legacy_cache: optional legacy monolithic JSON cache migrated into
             the shard directory on load (ignored when ``cache_path`` itself
             is a legacy file).
-        workers: default process count for :meth:`ensure_all`
-            (``None`` → all usable cores but one).
+        workers: default process count for :meth:`ensure_products` and
+            :meth:`ensure_all` (``None`` → all usable cores but one).
         chunksize: default descriptors per pool task submission.
         retry: per-task retry/timeout/backoff policy for campaign execution
             (``None`` → :class:`~repro.parallel.RetryPolicy`'s defaults:
@@ -306,7 +327,8 @@ class ReproductionPipeline:
             holes before raising :class:`~repro.errors.CampaignError`
             (0 = any permanent failure raises, preserving the historical
             all-or-nothing behavior).
-        telemetry: collect metrics/spans during :meth:`ensure_all` and write
+        telemetry: collect metrics/spans during :meth:`ensure_products`
+            (so :meth:`ensure_all` and planned rounds too) and write
             ``telemetry.json`` next to the shards.  ``None`` (default)
             follows the process-wide switch (:func:`repro.telemetry.enabled`,
             i.e. the ``REPRO_TELEMETRY`` environment variable or an earlier
@@ -396,6 +418,11 @@ class ReproductionPipeline:
         if not qualifiers:
             return raw
         return ":".join(qualifiers) + ":" + raw
+
+    @staticmethod
+    def raw_key(key: str) -> str:
+        """Inverse of :meth:`_key`: strip the ``":"``-joined qualifiers."""
+        return key.rsplit(":", 1)[-1]
 
     def _memo(self, key: str, compute: Callable[[], object]) -> object:
         if key in self._cache:
@@ -714,32 +741,14 @@ class ReproductionPipeline:
     ) -> Dict[str, object]:
         """Run (or load) every product of the full evaluation, fault-tolerantly.
 
-        Pending products fan out through a process pool in two dependency
-        stages: measurements (impacts, signatures, baselines) after the
-        calibration, then degradations and co-runs after the baselines.
-        Results land as they complete, each flushing its shard atomically,
-        so interrupting the campaign never loses completed work.
-
-        Each task runs under the pipeline's :class:`~repro.parallel.RetryPolicy`
-        — bounded retries with backoff, an optional per-task timeout that
-        kills hung workers, and automatic pool respawn after a worker crash.
-        A task that exhausts its attempts becomes a hole plus a structured
-        :class:`~repro.errors.FailureRecord`; products depending on a failed
-        input (degradations and pairs of a failed baseline) are skipped with
-        a ``dependency`` record rather than attempted.  The campaign finishes
-        with holes as long as the number of permanent failures stays within
-        the failure budget, and writes a machine-readable
-        ``failure_report.json`` next to the shards either way.
-
-        Deterministic model refusals — an engine raising
-        :class:`~repro.errors.AnalyticModelError` because a workload drives
-        a resource past its validity ceiling — are recorded as
-        ``unsupported`` holes (their dependents too) but are *exempt* from
-        the failure budget: the budget guards against infrastructure
-        flakiness, while a refusal is the model honestly declining a
-        scenario outside its domain.  A campaign on an oversubscribed
-        fabric thus completes with documented holes for the workloads that
-        saturate it, instead of failing outright.
+        :meth:`ensure_products` over every key of :meth:`product_keys`,
+        then the failure budget (:func:`enforce_failure_budget`): the
+        campaign finishes with holes as long as the charged failures stay
+        within it.  Deterministic model refusals (``unsupported``) are
+        exempt — the budget guards against infrastructure flakiness, while
+        a refusal is the model honestly declining a scenario outside its
+        domain — so a campaign on an oversubscribed fabric completes with
+        documented holes for the workloads that saturate it.
 
         Args:
             workers: process count (``None`` → the pipeline's default).
@@ -747,179 +756,22 @@ class ReproductionPipeline:
             failure_budget: override the pipeline's failure budget.
 
         Returns:
-            Campaign stats: total/executed/cached/failed product counts,
-            elapsed seconds, worker count, retry count, and the failure
-            records (as dicts) with the report path, if one was written.
-            With telemetry on, ``telemetry_report`` holds the path of the
-            ``telemetry.json`` written next to the shards.
+            The campaign stats of :meth:`ensure_products`.
 
         Raises:
             CampaignError: the calibration failed permanently (everything
                 depends on it), or permanent failures exceeded the budget.
         """
-        count = workers if workers is not None else self.workers
-        if count is None:
-            count = default_worker_count()
-        chunk = chunksize if chunksize is not None else self.chunksize
-        budget = failure_budget if failure_budget is not None else self.failure_budget
-        telemetry_on = self.telemetry if self.telemetry is not None else telemetry.enabled()
-        if telemetry_on:
-            telemetry.enable()
-
-        start = time.time()
-        pending = set(self.pending_keys())
-        # The live document only makes sense with telemetry on and a real
-        # cache directory to sit next to; a dark campaign pays nothing.
-        reporter = (
-            LiveReporter(self._cache.directory / LIVE_REPORT_NAME)
-            if telemetry_on and self._cache.directory is not None
-            else None
+        stats = self.ensure_products(
+            [self.raw_key(key) for key in self.product_keys()],
+            workers=workers,
+            chunksize=chunksize,
         )
-        progress = _CampaignProgress(len(pending), self.verbose, reporter=reporter)
-        failures: List[FailureRecord] = []
-        transients: List[FailureRecord] = []
-        phases: Dict[str, Dict[str, float]] = {}
-
-        def staged(name: str, total: int, run: Callable[[], object]) -> object:
-            """Run one dependency stage under a span, tracking wall/CPU."""
-            progress.begin_stage(name, total)
-            wall0, cpu0 = time.time(), time.process_time()
-            with telemetry.span(f"stage:{name}", "pipeline", engine=self.settings.engine):
-                result = run()
-            phases[name] = {
-                "wall": time.time() - wall0,
-                "cpu": time.process_time() - cpu0,
-            }
-            progress.end_stage(len(failures), len(transients))
-            return result
-
-        if self._key("calibration") in pending:
-            calibration = self._calibration_descriptor()
-            report = staged(
-                "calibration",
-                1,
-                lambda: self._run_stage(
-                    [calibration], 1, 1, progress, failures, transients
-                ),
-            )
-            if report is not None and report.failures:
-                self._write_failure_report(failures, transients, start, count)
-                self._write_telemetry_report(
-                    telemetry_on, phases, self._campaign_meta(count, start, failures, transients), start
-                )
-                progress.publish(force=True, complete=True)
-                raise CampaignError(
-                    "calibration failed permanently — no experiment can run "
-                    "without it: " + failures[-1].describe(),
-                    failures,
-                )
-
-        stage_one = [
-            self._impact_descriptor(name)
-            for name in [None, *self.app_names]
-            if self._key(f"impact/{name}" if name else "impact/idle") in pending
-        ]
-        stage_one.extend(
-            self._comp_sig_descriptor(config)
-            for config in self.catalog
-            if self._key(f"comp_sig/{config.label}") in pending
+        enforce_failure_budget(
+            stats["failure_records"],  # type: ignore[arg-type]
+            failure_budget if failure_budget is not None else self.failure_budget,
         )
-        stage_one.extend(
-            self._baseline_descriptor(name)
-            for name in self.app_names
-            if self._key(f"baseline/{name}") in pending
-        )
-        staged(
-            "measurements",
-            len(stage_one),
-            lambda: self._run_stage(stage_one, count, chunk, progress, failures, transients),
-        )
-
-        # Stage two only builds descriptors whose baseline actually landed;
-        # dependents of a failed baseline become dependency records, not runs
-        # (or ``unsupported`` records when the baseline was a model refusal).
-        refused = {
-            record.key for record in failures if record.category == "unsupported"
-        }
-        stage_two: List[ExperimentDescriptor] = []
-        for name in self.app_names:
-            baseline_key = self._key(f"baseline/{name}")
-            has_baseline = baseline_key in self._cache
-            for config in self.catalog:
-                key = self._key(f"degradation/{name}/{config.label}")
-                if key not in pending:
-                    continue
-                if has_baseline:
-                    stage_two.append(self._degradation_descriptor(name, config))
-                else:
-                    failures.append(
-                        self._dependency_record(
-                            key, "degradation", name, unsupported=baseline_key in refused
-                        )
-                    )
-        for measured in self.app_names:
-            baseline_key = self._key(f"baseline/{measured}")
-            has_baseline = baseline_key in self._cache
-            for other in self.app_names:
-                key = self._key(f"pair/{measured}/{other}")
-                if key not in pending:
-                    continue
-                if has_baseline:
-                    stage_two.append(self._pair_descriptor(measured, other))
-                else:
-                    failures.append(
-                        self._dependency_record(
-                            key, "pair", measured, unsupported=baseline_key in refused
-                        )
-                    )
-        staged(
-            "dependents",
-            len(stage_two),
-            lambda: self._run_stage(stage_two, count, chunk, progress, failures, transients),
-        )
-
-        elapsed = time.time() - start
-        report_path = self._write_failure_report(failures, transients, start, count)
-        telemetry_path = self._write_telemetry_report(
-            telemetry_on, phases, self._campaign_meta(count, start, failures, transients), start
-        )
-        # Final live frame — marked complete so `repro top` knows to stop.
-        progress.publish(force=True, complete=True)
-        # ``unsupported`` records are deterministic model refusals (and their
-        # cascades) — documented holes, not flakiness — so only the other
-        # categories are charged against the failure budget.
-        budgeted = [record for record in failures if record.category != "unsupported"]
-        unsupported = len(failures) - len(budgeted)
-        if len(budgeted) > budget:
-            raise CampaignError(
-                f"{len(budgeted)} experiment(s) failed permanently, exceeding "
-                f"the failure budget of {budget}: "
-                + "; ".join(record.describe() for record in budgeted),
-                failures,
-            )
-        if self.verbose and pending:
-            holes = f", {len(failures)} hole(s)" if failures else ""
-            if unsupported:
-                holes += f" ({unsupported} unsupported by this engine)"
-            print(
-                f"[pipeline] campaign complete: {len(pending) - len(failures)} "
-                f"experiment(s){holes} in {elapsed:.1f}s with {count} worker(s)",
-                flush=True,
-                file=sys.stderr,
-            )
-        return {
-            "total": len(self.product_keys()),
-            "executed": len(pending) - len(failures),
-            "cached": len(self.product_keys()) - len(pending),
-            "failed": len(failures),
-            "unsupported": unsupported,
-            "retried": len(transients),
-            "elapsed": elapsed,
-            "workers": count,
-            "failure_records": [record.to_dict() for record in failures],
-            "failure_report": str(report_path) if report_path else None,
-            "telemetry_report": str(telemetry_path) if telemetry_path else None,
-        }
+        return stats
 
     def ensure_products(
         self,
@@ -929,14 +781,27 @@ class ReproductionPipeline:
         costs: Optional[Sequence[float]] = None,
         budget: Optional[float] = None,
     ) -> Dict[str, object]:
-        """Run (or load) an explicit subset of products — the planner seam.
+        """Run (or load) the requested products — the one campaign executor.
 
-        The adaptive planner's counterpart to :meth:`ensure_all`: instead
-        of the full evaluation, exactly the requested raw keys are
-        produced, in the same two dependency stages (calibration first,
-        then impacts/signatures/baselines, then degradations/pairs), with
-        the same fault-tolerant runner, sharded cache, and ``unsupported``
-        semantics.
+        :meth:`ensure_all` calls it with every product; the adaptive
+        planner calls it once per round with the subset it chose.  Pending
+        products run in dependency stages: the calibration alone, then
+        impacts/signatures/baselines, then degradations/pairs.  Each task
+        runs under the pipeline's :class:`~repro.parallel.RetryPolicy` —
+        bounded retries with backoff, an optional per-task timeout that
+        kills hung workers, and automatic pool respawn after a worker
+        crash — and lands in the sharded cache as it completes, so
+        interrupting the campaign never loses completed work.
+
+        A product's input is the calibration (``impact``/``comp_sig``) or
+        its app's baseline (``degradation``/``pair``).  An input missing
+        from the cache when its dependent's stage starts is never computed
+        inline; the dependent becomes a hole instead: ``skipped``
+        (uncharged) if the input was skipped for budget in this call,
+        ``unsupported`` if the input was refused, ``dependency`` otherwise.
+        A calibration that was attempted and failed permanently — refusals
+        included — raises :class:`~repro.errors.CampaignError`, since no
+        other experiment can run without it.
 
         Budget semantics (estimated experiment-seconds):
 
@@ -949,22 +814,33 @@ class ReproductionPipeline:
         * a deterministic model refusal (``unsupported``) refunds its
           cost: a refusal is knowledge about the model's domain, not a
           spent experiment, and the refund is available to the *next*
-          stage (and the planner's next round);
-        * dependents whose baseline is missing after stage one become
-          ``dependency``/``unsupported`` holes without being charged.
+          stage (and the planner's next round).
+
+        Every call — finished, or aborted by a failed calibration — writes
+        ``failure_report.json`` next to the shards; with telemetry on it
+        also writes ``telemetry.json`` and keeps the live
+        ``telemetry.live.json`` current, ending with a ``complete`` frame.
 
         Args:
             raw_keys: unqualified product keys (see :meth:`descriptor_for`);
                 duplicates are collapsed, first occurrence wins.
-            workers / chunksize: as :meth:`ensure_all`.
+            workers: process count (``None`` → the pipeline's default).
+            chunksize: descriptors per pool submission (``None`` → default).
             costs: estimated cost per entry of ``raw_keys`` (default: all
                 zero, i.e. unbudgeted).
             budget: admission ceiling over ``costs`` for this call.
 
         Returns:
-            Stats: requested/cached/executed/failed/unsupported counts,
-            skipped (qualified) keys, ``budget_spent``/``budget_refunded``,
-            retries, elapsed seconds, and the failure records as dicts.
+            Stats: total (distinct requested)/executed/cached/failed/
+            unsupported product counts, skipped (qualified) keys,
+            ``budget_spent``/``budget_refunded``, retries, elapsed seconds,
+            worker count, the failure records as dicts, and the paths of
+            the failure report and (telemetry on) ``telemetry.json``, where
+            written.
+
+        Raises:
+            CampaignError: the calibration was attempted and failed
+                permanently.
         """
         count = workers if workers is not None else self.workers
         if count is None:
@@ -974,56 +850,76 @@ class ReproductionPipeline:
             raise ExperimentError(
                 f"costs/raw_keys length mismatch: {len(costs)} != {len(raw_keys)}"
             )
+        telemetry_on = self.telemetry if self.telemetry is not None else telemetry.enabled()
+        if telemetry_on:
+            telemetry.enable()
 
         cost_of: Dict[str, float] = {}
-        ordered: List[str] = []
         for index, raw in enumerate(raw_keys):
-            if raw in cost_of:
-                continue
-            cost_of[raw] = float(costs[index]) if costs is not None else 0.0
-            ordered.append(raw)
+            if raw not in cost_of:
+                cost_of[raw] = float(costs[index]) if costs is not None else 0.0
 
         start = time.time()
-        cached = [raw for raw in ordered if self.has_product(raw)]
-        for _ in cached:
+        pending = [raw for raw in cost_of if not self.has_product(raw)]
+        for _ in range(len(cost_of) - len(pending)):
             self._note_cache_hit()
-        pending = [raw for raw in ordered if not self.has_product(raw)]
-        stage_one_kinds = ("calibration", "impact", "comp_sig", "baseline")
-        stage_one = [r for r in pending if r.split("/")[0] in stage_one_kinds]
-        stage_two = [r for r in pending if r.split("/")[0] not in stage_one_kinds]
-        # Calibration gates everything: pull it to the front of stage one so
-        # the impact/comp_sig descriptor builders find it in the cache
-        # rather than computing it serially behind the budget's back.
-        stage_one.sort(key=lambda raw: raw != "calibration")
+        # Dependency stages: the calibration alone (everything depends on
+        # it), then the measurements, then the baseline-dependent products.
+        stages: List[Tuple[str, int, List[str]]] = [
+            ("calibration", 1, []),
+            ("measurements", count, []),
+            ("dependents", count, []),
+        ]
+        stage_of = {"calibration": 0, "impact": 1, "comp_sig": 1, "baseline": 1}
+        for raw in pending:
+            stages[stage_of.get(raw.split("/")[0], 2)][2].append(raw)
 
-        progress = _CampaignProgress(len(pending), self.verbose)
+        # The live document only makes sense with telemetry on and a real
+        # cache directory to sit next to; a dark campaign pays nothing.
+        reporter = (
+            LiveReporter(self._cache.directory / LIVE_REPORT_NAME)
+            if telemetry_on and self._cache.directory is not None
+            else None
+        )
+        progress = _CampaignProgress(len(pending), self.verbose, reporter=reporter)
         failures: List[FailureRecord] = []
         transients: List[FailureRecord] = []
         skipped: List[str] = []
+        phases: Dict[str, Dict[str, float]] = {}
         budget_spent = 0.0
         budget_refunded = 0.0
         remaining = budget
 
-        def run_round(name: str, raws: List[str], stage_workers: int) -> None:
-            nonlocal budget_spent, budget_refunded, remaining
+        def write_reports() -> Tuple[Optional[Path], Optional[Path]]:
+            report_path = self._write_failure_report(failures, transients, start, count)
+            telemetry_path = self._write_telemetry_report(
+                telemetry_on, phases, self._campaign_meta(count, start, failures, transients), start
+            )
+            # Final live frame — marked complete so `repro top` knows to stop.
+            progress.publish(force=True, complete=True)
+            return report_path, telemetry_path
+
+        for name, stage_workers, raws in stages:
             if not raws:
-                return
-            descriptors = [self.descriptor_for(raw) for raw in raws]
-            stage_costs = [cost_of[raw] for raw in raws]
-            progress.begin_stage(name, len(descriptors))
-            with telemetry.span(
-                f"subset:{name}", "pipeline", engine=self.settings.engine
-            ):
+                continue
+            runnable = self._admit_inputs(raws, failures, skipped)
+            progress.begin_stage(name, len(runnable))
+            wall0, cpu0 = time.time(), time.process_time()
+            with telemetry.span(f"stage:{name}", "pipeline", engine=self.settings.engine):
                 report = self._run_stage(
-                    descriptors,
+                    [self.descriptor_for(raw) for raw in runnable],
                     stage_workers,
                     chunk,
                     progress,
                     failures,
                     transients,
-                    costs=stage_costs,
+                    costs=[cost_of[raw] for raw in runnable],
                     budget=remaining,
                 )
+            phases[name] = {
+                "wall": time.time() - wall0,
+                "cpu": time.process_time() - cpu0,
+            }
             progress.end_stage(len(failures), len(transients))
             if report is not None:
                 skipped.extend(report.skipped)
@@ -1031,78 +927,34 @@ class ReproductionPipeline:
                 budget_refunded += report.budget_refunded
                 if remaining is not None:
                     remaining = max(0.0, remaining - report.budget_spent)
-
-        # Calibration runs alone (single worker, everything depends on it)
-        # when requested and uncached; the rest of stage one fans out.
-        calibration_attempted = bool(stage_one) and stage_one[0] == "calibration"
-        if calibration_attempted:
-            run_round("calibration", [stage_one.pop(0)], 1)
-        if calibration_attempted and not self.has_product("calibration"):
-            # Calibration was asked for and didn't land: impacts/signatures
-            # can't build their descriptors without serially recomputing it
-            # behind the budget's back.  A budget-skipped calibration skips
-            # its dependents (uncharged); a failed one holes them.
-            cal_skipped = self._key("calibration") in skipped
-            cal_refused = any(
-                record.category == "unsupported" for record in failures
-            )
-            survivors = []
-            for raw in stage_one:
-                if raw.split("/")[0] not in ("impact", "comp_sig"):
-                    survivors.append(raw)
-                elif cal_skipped:
-                    skipped.append(self._key(raw))
-                else:
-                    failures.append(
-                        FailureRecord(
-                            key=self._key(raw),
-                            category="unsupported" if cal_refused else "dependency",
-                            message="calibration unavailable (failed upstream)",
-                            attempts=0,
-                            kind=raw.split("/")[0],
-                        )
-                    )
-            stage_one = survivors
-        run_round("measurements", stage_one, count)
-
-        # Stage two only builds descriptors whose baseline actually landed,
-        # mirroring ensure_all's dependency-hole semantics.
-        refused = {
-            record.key for record in failures if record.category == "unsupported"
-        }
-        runnable: List[str] = []
-        for raw in stage_two:
-            parts = raw.split("/")
-            app = parts[1]
-            baseline_key = self._key(f"baseline/{app}")
-            if baseline_key in self._cache:
-                runnable.append(raw)
-            elif baseline_key in skipped:
-                skipped.append(self._key(raw))
-            else:
-                failures.append(
-                    self._dependency_record(
-                        self._key(raw),
-                        parts[0],
-                        app,
-                        unsupported=baseline_key in refused,
-                    )
+            if name == "calibration" and failures:
+                write_reports()
+                raise CampaignError(
+                    "calibration failed permanently — no experiment can run "
+                    "without it: " + failures[-1].describe(),
+                    failures,
                 )
-        run_round("dependents", runnable, count)
 
         elapsed = time.time() - start
-        unsupported = sum(
-            1 for record in failures if record.category == "unsupported"
-        )
+        report_path, telemetry_path = write_reports()
+        unsupported = sum(1 for record in failures if record.category == "unsupported")
         executed = len(pending) - len(failures) - len(skipped)
-        if telemetry.enabled():
-            registry = telemetry.registry()
-            registry.counter_inc("pipeline.subset_requested", float(len(ordered)))
-            registry.counter_inc("pipeline.subset_executed", float(max(executed, 0)))
+        if self.verbose and pending:
+            holes = f", {len(failures)} hole(s)" if failures else ""
+            if unsupported:
+                holes += f" ({unsupported} unsupported by this engine)"
+            if skipped:
+                holes += f", {len(skipped)} skipped for budget"
+            print(
+                f"[pipeline] campaign complete: {executed} "
+                f"experiment(s){holes} in {elapsed:.1f}s with {count} worker(s)",
+                flush=True,
+                file=sys.stderr,
+            )
         return {
-            "requested": len(ordered),
-            "cached": len(cached),
+            "total": len(cost_of),
             "executed": executed,
+            "cached": len(cost_of) - len(pending),
             "failed": len(failures),
             "unsupported": unsupported,
             "retried": len(transients),
@@ -1110,8 +962,56 @@ class ReproductionPipeline:
             "budget_spent": budget_spent,
             "budget_refunded": budget_refunded,
             "elapsed": elapsed,
+            "workers": count,
             "failure_records": [record.to_dict() for record in failures],
+            "failure_report": str(report_path) if report_path else None,
+            "telemetry_report": str(telemetry_path) if telemetry_path else None,
         }
+
+    def _admit_inputs(
+        self, raws: List[str], failures: List[FailureRecord], skipped: List[str]
+    ) -> List[str]:
+        """The keys of ``raws`` whose input is cached; the rest become holes.
+
+        A key whose input is missing is never run: it is ``skipped`` when
+        the input was skipped for budget, an ``unsupported`` record when
+        the input was refused, and a ``dependency`` record otherwise.
+        """
+        outcome = {record.key: record.category for record in failures}
+        runnable: List[str] = []
+        for raw in raws:
+            parts = raw.split("/")
+            if parts[0] in ("impact", "comp_sig"):
+                needed = "calibration"
+            elif parts[0] in ("degradation", "pair") and len(parts) > 1:
+                needed = f"baseline/{parts[1]}"
+            else:
+                runnable.append(raw)
+                continue
+            needed_key = self._key(needed)
+            if needed_key in self._cache:
+                runnable.append(raw)
+            elif needed_key in skipped:
+                skipped.append(self._key(raw))
+            else:
+                refused = outcome.get(needed_key) == "unsupported"
+                reason = (
+                    "model refusal upstream"
+                    if refused
+                    else "failed upstream"
+                    if needed_key in outcome
+                    else "not in the cache"
+                )
+                failures.append(
+                    FailureRecord(
+                        key=self._key(raw),
+                        category="unsupported" if refused else "dependency",
+                        message=f"{needed} unavailable ({reason})",
+                        attempts=0,
+                        kind=parts[0],
+                    )
+                )
+        return runnable
 
     def _campaign_meta(
         self,
@@ -1157,32 +1057,6 @@ class ReproductionPipeline:
         )
         self._cache.directory.mkdir(parents=True, exist_ok=True)
         return write_report(self._cache.directory / TELEMETRY_REPORT_NAME, document)
-
-    def _dependency_record(
-        self, key: str, kind: str, app: str, unsupported: bool = False
-    ) -> FailureRecord:
-        """A never-attempted hole whose input product failed upstream.
-
-        When the upstream failure was a model refusal (``unsupported``), the
-        cascade inherits that category — the dependent is missing because of
-        a documented model limit, not infrastructure flakiness, so it must
-        not count against the failure budget either.
-        """
-        if unsupported:
-            return FailureRecord(
-                key=key,
-                category="unsupported",
-                message=f"baseline/{app} unavailable (model refusal upstream)",
-                attempts=0,
-                kind=kind,
-            )
-        return FailureRecord(
-            key=key,
-            category="dependency",
-            message=f"baseline/{app} unavailable (failed upstream)",
-            attempts=0,
-            kind=kind,
-        )
 
     def _run_stage(
         self,

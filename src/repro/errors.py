@@ -224,10 +224,12 @@ class FailureRecord:
 
 
 class CampaignError(ExperimentError):
-    """The campaign's permanent failures exceeded its failure budget.
+    """The campaign's permanent failures exceeded its failure budget, or its
+    calibration failed.
 
-    Carries the full list of :class:`FailureRecord` s so callers can emit a
-    structured report even when the budget is blown.
+    Carries the :class:`FailureRecord` s behind it — the charged ones for a
+    blown budget, the calibration's for a failed calibration — so callers
+    can emit a structured report; ``failure_report.json`` holds them all.
     """
 
     def __init__(self, message: str, failures: "list[FailureRecord]" = ()) -> None:  # type: ignore[assignment]

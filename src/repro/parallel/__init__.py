@@ -4,12 +4,10 @@ from .runner import (
     RetryPolicy,
     RunReport,
     default_worker_count,
-    map_experiments,
     run_tasks,
 )
 
 __all__ = [
-    "map_experiments",
     "run_tasks",
     "default_worker_count",
     "RetryPolicy",

@@ -9,9 +9,11 @@ workers, and recovery from a broken process pool (respawn, requeue the
 in-flight items).  A task that exhausts its attempts becomes a structured
 :class:`~repro.errors.FailureRecord` instead of taking the campaign down.
 
-:func:`map_experiments` is the simple all-or-nothing facade kept for callers
-that want the old ``pool.map`` semantics (results in item order, first
-failure raises).
+One scheduler drives both execution modes.  With one worker (or one task)
+and no timeout it runs in-process, through an executor that runs each
+chunk the moment it is submitted; otherwise through a process pool.
+Retries, backoff, refunds, and failure bookkeeping are the same code
+either way.
 
 Functions and items must be picklable (top-level functions, dataclass
 configs) for the process-pool path.
@@ -38,7 +40,6 @@ from ..errors import (
 )
 
 __all__ = [
-    "map_experiments",
     "run_tasks",
     "default_worker_count",
     "RetryPolicy",
@@ -284,8 +285,29 @@ class _Task:
     cost: float = 0.0
 
 
+class _InProcessExecutor:
+    """The in-process stand-in for the pool: runs each chunk on submission.
+
+    ``submit`` returns an already-completed future, so the scheduler's loop
+    lands the chunk on its next collection.  Nothing here can break or
+    hang-and-be-killed: the pool's respawn and timeout paths never fire.
+    """
+
+    def submit(self, function: Callable, *args) -> Future:
+        future: Future = Future()
+        future.set_result(function(*args))
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
 class _Scheduler:
-    """Per-task future scheduling with retry, timeout, and pool recovery."""
+    """Per-task future scheduling with retry, timeout, and pool recovery.
+
+    Runs in-process when one worker (or one task) suffices and no timeout
+    is set — a timeout needs a killable worker process.
+    """
 
     def __init__(
         self,
@@ -299,7 +321,8 @@ class _Scheduler:
     ) -> None:
         self.function = function
         self.tasks = {task.index: task for task in tasks}
-        self.workers = workers
+        self.in_process = (workers == 1 or len(tasks) == 1) and policy.timeout is None
+        self.workers = 1 if self.in_process else workers
         self.chunksize = chunksize
         self.policy = policy
         self.on_result = on_result
@@ -310,14 +333,20 @@ class _Scheduler:
         for start in range(0, len(tasks), chunksize):
             self.ready.append(tasks[start : start + chunksize])
         self.in_flight: Dict[Future, Tuple[List[_Task], Optional[float]]] = {}
-        self.pool: Optional[ProcessPoolExecutor] = None
+        self.pool = None
         # Decided once in the driver: workers only pay for telemetry capture
         # (and ship snapshot envelopes back) when the campaign asked for it.
-        self.capture_telemetry = telemetry.enabled()
+        # In-process chunks record straight into the driver's registry,
+        # which capture would reset.
+        self.capture_telemetry = telemetry.enabled() and not self.in_process
 
     # -- pool lifecycle -------------------------------------------------
     def _spawn_pool(self) -> None:
-        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        self.pool = (
+            _InProcessExecutor()
+            if self.in_process
+            else ProcessPoolExecutor(max_workers=self.workers)
+        )
 
     def _respawn_pool(self) -> None:
         self.report.pool_respawns += 1
@@ -462,10 +491,10 @@ class _Scheduler:
             next_ready = min(ready_at for ready_at, _ in self.waiting) - now
             timeout = max(0.0, next_ready) if timeout is None else min(timeout, max(0.0, next_ready))
         done, _ = wait(list(self.in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-        if done:
-            self._process_done(done)
-        else:
+        if not done:
             self._enforce_timeouts()
+        elif self._settle(done):
+            self._recover_from_broken_pool()
 
     def _chunk_outcomes(self, future: Future) -> List[Tuple[int, object, Optional[str]]]:
         """Unpack a finished chunk envelope, folding its telemetry delta in."""
@@ -473,11 +502,22 @@ class _Scheduler:
         telemetry.merge_worker(payload)
         return outcomes
 
-    def _process_done(self, done) -> None:
+    def _settle(self, futures, timed_out: Optional[set] = None) -> bool:
+        """Land or charge finished chunks, removing them from ``in_flight``.
+
+        A chunk that ran lands each outcome; an item that raised is charged
+        its own classified error.  A chunk whose future raised charges each
+        live task one attempt: ``worker-crash`` for a broken pool (the
+        culprit is not identifiable), ``exception`` for a driver-side
+        failure such as an unpicklable result.  After a timeout kill
+        (``timed_out`` given) the chunks that overran are charged a
+        ``timeout`` instead, and bystanders are requeued uncharged.
+        Returns whether the pool broke.
+        """
         broken = False
-        for future in done:
+        for future in futures:
             chunk, _deadline = self.in_flight.pop(future)
-            exc = future.exception()
+            exc = future.exception()  # a broken or killed pool resolves fast
             if exc is None:
                 for index, value, error in self._chunk_outcomes(future):
                     task = self.tasks.get(index)
@@ -487,49 +527,32 @@ class _Scheduler:
                         self._land(task, value)
                     else:
                         self._fail_attempt(task, classify_failure_message(error), error)
-            elif isinstance(exc, BrokenProcessPool):
-                broken = True
-                for task in chunk:
-                    if task.index in self.tasks:
-                        self._fail_attempt(
-                            task, "worker-crash", f"{type(exc).__name__}: {exc}"
-                        )
+                continue
+            broken = broken or isinstance(exc, BrokenProcessPool)
+            if timed_out is None:
+                category = (
+                    "worker-crash" if isinstance(exc, BrokenProcessPool) else "exception"
+                )
+                message = f"{type(exc).__name__}: {exc}"
+            elif future in timed_out:
+                category = "timeout"
+                message = f"exceeded the {self.policy.timeout}s task timeout; worker killed"
             else:
-                # Driver-side failure (e.g. unpicklable result): charge it.
-                for task in chunk:
-                    if task.index in self.tasks:
-                        self._fail_attempt(
-                            task, "exception", f"{type(exc).__name__}: {exc}"
-                        )
-        if broken:
-            self._recover_from_broken_pool()
+                self._requeue(chunk)
+                continue
+            for task in chunk:
+                if task.index in self.tasks:
+                    self._fail_attempt(task, category, message)
+        return broken
 
     def _recover_from_broken_pool(self) -> None:
         """Drain doomed futures, charge crash attempts, respawn the pool.
 
         Once the pool is broken every in-flight future completes (with
-        ``BrokenProcessPool``) almost immediately; the culprit is not
-        identifiable, so every in-flight task is charged one
-        ``worker-crash`` attempt.
+        ``BrokenProcessPool``) almost immediately; anything that finished
+        first still lands.
         """
-        for future, (chunk, _deadline) in list(self.in_flight.items()):
-            exc = future.exception()  # blocks briefly; broken futures resolve fast
-            del self.in_flight[future]
-            if exc is None:
-                for index, value, error in self._chunk_outcomes(future):
-                    task = self.tasks.get(index)
-                    if task is None:
-                        continue
-                    if error is None:
-                        self._land(task, value)
-                    else:
-                        self._fail_attempt(task, classify_failure_message(error), error)
-            else:
-                for task in chunk:
-                    if task.index in self.tasks:
-                        self._fail_attempt(
-                            task, "worker-crash", f"{type(exc).__name__}: {exc}"
-                        )
+        self._settle(list(self.in_flight))
         self._respawn_pool()
 
     def _enforce_timeouts(self) -> None:
@@ -546,29 +569,7 @@ class _Scheduler:
         # charged a timeout attempt, bystanders are requeued uncharged, and
         # anything that squeaked through before the kill still lands.
         self._kill_pool_processes()
-        for future, (chunk, _deadline) in list(self.in_flight.items()):
-            exc = future.exception()  # wait for the break to propagate
-            del self.in_flight[future]
-            if exc is None:
-                for index, value, error in self._chunk_outcomes(future):
-                    task = self.tasks.get(index)
-                    if task is None:
-                        continue
-                    if error is None:
-                        self._land(task, value)
-                    else:
-                        self._fail_attempt(task, classify_failure_message(error), error)
-            elif future in guilty:
-                for task in chunk:
-                    if task.index in self.tasks:
-                        self._fail_attempt(
-                            task,
-                            "timeout",
-                            f"exceeded the {self.policy.timeout}s task timeout; "
-                            "worker killed",
-                        )
-            else:
-                self._requeue(chunk)
+        self._settle(list(self.in_flight), timed_out=guilty)
         self._respawn_pool()
 
 
@@ -613,71 +614,6 @@ def _admit_for_budget(
     return admitted
 
 
-def _run_serial(
-    function: Callable[[ItemT], ResultT],
-    tasks: List[_Task],
-    policy: RetryPolicy,
-    on_result: Optional[Callable[[int, str, object], None]],
-    report: Optional[RunReport] = None,
-) -> RunReport:
-    if report is None:
-        report = RunReport(results=[None] * len(tasks))
-    for task in tasks:
-        while True:
-            faults.set_current_attempt(task.attempt)
-            task.started = time.monotonic()
-            _record_task_scheduled(task.key, task.attempt)
-            try:
-                with telemetry.span(f"task:{task.key}", "runner", attempt=task.attempt):
-                    value = function(task.item)  # type: ignore[arg-type]
-            except Exception as exc:
-                message = f"{type(exc).__name__}: {exc}"
-                category = classify_failure_message(message)
-                record = FailureRecord(
-                    key=task.key,
-                    category=category,
-                    message=message,
-                    attempts=task.attempt,
-                    elapsed=time.monotonic() - task.started,
-                )
-                if task.attempt >= policy.max_attempts or category == "unsupported":
-                    report.failures.append(record)
-                    if category == "unsupported":
-                        _refund_cost(report, task)
-                    _record_attempt_failure(
-                        task.key,
-                        category,
-                        terminal=True,
-                        attempt=task.attempt,
-                        message=message,
-                    )
-                    break
-                report.transients.append(record)
-                task.attempt += 1
-                delay = policy.backoff_delay(task.key, task.attempt)
-                _record_attempt_failure(
-                    task.key,
-                    category,
-                    terminal=False,
-                    attempt=task.attempt - 1,
-                    message=message,
-                    delay=delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            finally:
-                faults.set_current_attempt(1)
-            report.results[task.index] = value
-            _record_task_landed(
-                task.key, task.attempt, time.monotonic() - task.started
-            )
-            if on_result is not None:
-                on_result(task.index, task.key, value)
-            break
-    return report
-
-
 def run_tasks(
     function: Callable[[ItemT], ResultT],
     items: Sequence[ItemT],
@@ -697,9 +633,9 @@ def run_tasks(
         keys: stable per-item labels used in failure records, fault matching,
             and backoff jitter (default: the item's index as a string).
         workers: process count; ``None`` → :func:`default_worker_count`;
-            ``1`` runs serially in-process **unless** the policy sets a
-            timeout (timeouts need a killable worker, so a single-worker
-            pool is used instead).
+            ``1`` (or a single item) runs in-process **unless** the policy
+            sets a timeout (timeouts need a killable worker, so a
+            single-worker pool is used instead).
         chunksize: items per pool submission (amortizes IPC for many small
             tasks; timeouts scale with chunk length; retries always resubmit
             individually).
@@ -763,52 +699,12 @@ def run_tasks(
     tasks = _admit_for_budget(tasks, budget, report)
     if not tasks:
         return report
-    serial = (count == 1 or len(tasks) == 1) and policy.timeout is None
+    scheduler = _Scheduler(
+        function, tasks, count, chunksize, policy, on_result, report=report
+    )
     if telemetry.enabled():
         registry = telemetry.registry()
         registry.counter_inc("runner.tasks_submitted", float(len(tasks)))
-        registry.gauge_max("runner.workers", 1.0 if serial else float(count))
-    if serial:
-        return _run_serial(function, tasks, policy, on_result, report=report)
-    return _Scheduler(
-        function, tasks, count, chunksize, policy, on_result, report=report
-    ).run()
+        registry.gauge_max("runner.workers", float(scheduler.workers))
+    return scheduler.run()
 
-
-def map_experiments(
-    function: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    workers: Optional[int] = None,
-    chunksize: int = 1,
-    on_result: Optional[Callable[[ResultT], None]] = None,
-) -> List[ResultT]:
-    """Apply ``function`` to every item, possibly in parallel (all-or-nothing).
-
-    The simple facade over :func:`run_tasks`: no retries, no timeout,
-    results returned — and streamed to ``on_result`` — in item order.  The
-    first failing item raises :class:`~repro.errors.ExperimentError`.
-    Callers that need partial results, retries, or timeouts should use
-    :func:`run_tasks` directly.
-    """
-    pending = 0
-    buffered: Dict[int, ResultT] = {}
-
-    def stream(index: int, _key: str, value: object) -> None:
-        nonlocal pending
-        buffered[index] = value  # type: ignore[assignment]
-        while pending in buffered:
-            on_result(buffered.pop(pending))  # type: ignore[misc]
-            pending += 1
-
-    report = run_tasks(
-        function,
-        items,
-        workers=workers,
-        chunksize=chunksize,
-        policy=RetryPolicy(max_attempts=1, backoff_base=0.0),
-        on_result=stream if on_result is not None else None,
-    )
-    if report.failures:
-        first = report.failures[0]
-        raise ExperimentError(f"experiment {first.key} failed: {first.message}")
-    return report.results  # type: ignore[return-value]

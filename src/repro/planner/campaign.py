@@ -37,13 +37,9 @@ from .. import telemetry
 from ..analysis.degradation import LinearFit, fit_degradation_trend
 from ..core.experiments.compression import CompressionObservation
 from ..core.experiments.impact import ImpactResult
+from ..core.experiments.pipeline import enforce_failure_budget
 from ..core.models import PredictionEngine, default_models
-from ..errors import (
-    CampaignError,
-    ConfigurationError,
-    ExperimentError,
-    FailureRecord,
-)
+from ..errors import ConfigurationError, ExperimentError
 from .base import PlanContext, Planner
 from .costs import CostModel
 from .strategies import holdout_schedule
@@ -389,8 +385,7 @@ class PlannedCampaign:
         for record in stats["failure_records"]:
             self._failure_records.append(record)
             if record["category"] == "unsupported":
-                # Qualified key → raw key: qualifiers are ":"-joined prefixes.
-                self._refused.add(record["key"].rsplit(":", 1)[-1])
+                self._refused.add(self.pipeline.raw_key(record["key"]))
         return stats
 
     def _round_entry(
@@ -457,8 +452,9 @@ class PlannedCampaign:
         """Execute the planned campaign; returns its :class:`PlanResult`.
 
         Raises:
-            CampaignError: non-``unsupported`` permanent failures exceeded
-                the failure budget (mirroring ``ensure_all``).
+            CampaignError: the calibration failed permanently, or
+                non-``unsupported`` permanent failures exceeded the failure
+                budget (the rule ``ensure_all`` applies too).
         """
         result = PlanResult(
             planner=self.planner.name,
@@ -582,16 +578,5 @@ class PlannedCampaign:
                 break
 
         result.failure_records = list(self._failure_records)
-        budgeted = [
-            record
-            for record in self._failure_records
-            if record["category"] != "unsupported"
-        ]
-        if len(budgeted) > self.failure_budget:
-            raise CampaignError(
-                f"{len(budgeted)} experiment(s) failed permanently during the "
-                f"planned campaign, exceeding the failure budget of "
-                f"{self.failure_budget}",
-                [FailureRecord.from_dict(record) for record in budgeted],
-            )
+        enforce_failure_budget(self._failure_records, self.failure_budget)
         return result

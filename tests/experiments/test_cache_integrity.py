@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from repro.core.experiments.cache import ShardedCache, group_of
+from repro.core.experiments.cache import FAILURE_REPORT_NAME, ShardedCache, group_of
 from repro.faults import FaultPlan, set_fault_plan
+from repro.telemetry.live import LIVE_REPORT_NAME
+from repro.telemetry.report import TELEMETRY_REPORT_NAME
 
 
 @pytest.fixture(autouse=True)
@@ -110,13 +112,18 @@ def test_quarantined_keys_recompute_and_rewrite_cleanly(tmp_path):
     assert healed.quarantined == []
 
 
-def test_reserved_failure_report_is_not_a_shard(tmp_path):
+@pytest.mark.parametrize(
+    "name", [FAILURE_REPORT_NAME, TELEMETRY_REPORT_NAME, LIVE_REPORT_NAME]
+)
+def test_reserved_file_is_not_a_shard(tmp_path, name):
+    # A reserved report is a bare JSON mapping, which would otherwise load
+    # as a format-1 shard and leak its fields in as product keys.
     _populate(tmp_path)
-    (tmp_path / "failure_report.json").write_text(json.dumps({"failures": []}))
+    (tmp_path / name).write_text(json.dumps({"failures": [], "complete": True}))
     cache = ShardedCache(tmp_path)
-    assert "failures" not in cache
+    assert "failures" not in cache and "complete" not in cache
     assert cache.quarantined == []
-    assert (tmp_path / "failure_report.json").exists()
+    assert (tmp_path / name).exists()
 
 
 # ----------------------------------------------------------------------

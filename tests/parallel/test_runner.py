@@ -5,16 +5,15 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.parallel import (
-    RetryPolicy,
-    default_worker_count,
-    map_experiments,
-    run_tasks,
-)
+from repro.parallel import RetryPolicy, default_worker_count, run_tasks
 
 
 def _square(x):
     return x * x
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
 
 
 # Sentinel-file helpers: "misbehave on the first call, succeed on the
@@ -55,15 +54,17 @@ def _always_crash(item):
 
 
 def test_serial_map_preserves_order():
-    assert map_experiments(_square, [3, 1, 2], workers=1) == [9, 1, 4]
+    assert run_tasks(_square, [3, 1, 2], workers=1).results == [9, 1, 4]
 
 
 def test_empty_items():
-    assert map_experiments(_square, [], workers=1) == []
+    report = run_tasks(_square, [], workers=1)
+    assert report.results == [] and report.failures == []
 
 
 def test_single_item_runs_in_process():
-    assert map_experiments(_square, [7], workers=4) == [49]
+    report = run_tasks(_square_and_pid, [7], workers=4)
+    assert report.results == [(49, os.getpid())]
 
 
 def test_default_worker_count_positive():
@@ -72,18 +73,19 @@ def test_default_worker_count_positive():
 
 def test_invalid_workers_rejected():
     with pytest.raises(ConfigurationError):
-        map_experiments(_square, [1], workers=0)
+        run_tasks(_square, [1], workers=0)
 
 
 def test_invalid_chunksize_rejected():
     with pytest.raises(ConfigurationError):
-        map_experiments(_square, [1], chunksize=0)
+        run_tasks(_square, [1], chunksize=0)
 
 
 def test_process_pool_path():
     """Runs through the pool when workers > 1 and multiple items exist."""
-    results = map_experiments(_square, list(range(8)), workers=2, chunksize=2)
-    assert results == [x * x for x in range(8)]
+    report = run_tasks(_square_and_pid, list(range(8)), workers=2, chunksize=2)
+    assert [square for square, _pid in report.results] == [x * x for x in range(8)]
+    assert os.getpid() not in {pid for _square, pid in report.results}
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +106,26 @@ def test_serial_retry_then_success(tmp_path):
     assert report.transients[0].category == "exception"
     assert report.transients[0].key == "impact/flaky"
     assert "flaky first attempt" in report.transients[0].message
+
+
+def test_in_process_retry_waits_while_later_tasks_run(tmp_path):
+    # The retried task sits out its backoff in the queue; the task behind
+    # it runs meanwhile, exactly as on the pool path.
+    steady = tmp_path / "steady"
+    steady.write_text("attempted")
+    landed = []
+    report = run_tasks(
+        _fail_once,
+        [str(tmp_path / "flaky"), str(steady)],
+        keys=["flaky", "steady"],
+        workers=1,
+        policy=RetryPolicy(max_attempts=2, backoff_base=0.2),
+        on_result=lambda _index, key, _value: landed.append(key),
+    )
+    assert landed == ["steady", "flaky"]
+    assert report.results == ["recovered", "recovered"]
+    assert report.failures == []
+    assert [record.key for record in report.transients] == ["flaky"]
 
 
 def test_pool_retry_then_success(tmp_path):

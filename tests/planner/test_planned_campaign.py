@@ -11,6 +11,7 @@ import json
 import pytest
 
 import repro.core.experiments.pipeline as pipeline_mod
+from repro.core.experiments.cache import RESERVED_FILES
 from repro.errors import AnalyticModelError, CampaignError
 from repro.planner import CostModel, PlannedCampaign, get_planner
 
@@ -85,7 +86,7 @@ def test_deterministic_plans_and_shards_across_runs(tmp_path):
         shards = {
             path.name: path.read_bytes()
             for path in sorted(directory.glob("*.json"))
-            if path.name not in ("failure_report.json", "telemetry.json")
+            if path.name not in RESERVED_FILES
         }
         return trace, shards
 

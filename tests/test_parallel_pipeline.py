@@ -14,7 +14,7 @@ import pytest
 from repro.cluster import small_test_config
 from repro.core.experiments import PipelineSettings, ReproductionPipeline
 from repro.errors import CampaignError, FailureRecord
-from repro.parallel import map_experiments
+from repro.parallel import run_tasks
 from repro.units import MS
 from repro.workloads import FFTW, MCB, CompressionConfig, Workload
 
@@ -68,22 +68,14 @@ class _Boom(Workload):
 
 
 # ----------------------------------------------------------------------
-# map_experiments equivalence
+# run_tasks equivalence
 # ----------------------------------------------------------------------
-def test_map_experiments_pool_matches_serial_bitwise():
+def test_run_tasks_pool_matches_in_process_bitwise():
     items = [0.1 * i for i in range(12)]
-    serial = map_experiments(_burn, items, workers=1)
-    pooled = map_experiments(_burn, items, workers=2, chunksize=3)
-    assert serial == pooled  # float equality: bit-identical results
-
-
-def test_map_experiments_on_result_streams_in_order():
-    landed = []
-    results = map_experiments(_burn, [1.0, 2.0, 3.0], workers=2, on_result=landed.append)
-    assert landed == results == [_burn(x) for x in [1.0, 2.0, 3.0]]
-    landed.clear()
-    map_experiments(_burn, [1.0, 2.0], workers=1, on_result=landed.append)
-    assert landed == [_burn(1.0), _burn(2.0)]
+    in_process = run_tasks(_burn, items, workers=1)
+    pooled = run_tasks(_burn, items, workers=2, chunksize=3)
+    assert in_process.failures == pooled.failures == []
+    assert in_process.results == pooled.results  # float equality: bit-identical
 
 
 # ----------------------------------------------------------------------
