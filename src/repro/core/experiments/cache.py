@@ -84,6 +84,7 @@ class ShardedCache:
         self.directory = Path(directory) if directory is not None else None
         self.legacy_path = Path(legacy_path) if legacy_path is not None else None
         self._data: Dict[str, object] = {}
+        self._groups: Dict[str, Set[str]] = {}  # group -> its keys
         self._dirty: Set[str] = set()
         self.quarantined: List[Path] = []
         self._load()
@@ -102,12 +103,14 @@ class ShardedCache:
                     self.quarantined.append(self._quarantine(shard))
                 else:
                     self._data.update(products)
+                    for key in products:
+                        self._index(key)
         if self.legacy_path is not None and self.legacy_path.is_file():
             legacy = self._read_legacy(self.legacy_path)
             fresh = {key: value for key, value in legacy.items() if key not in self._data}
             if fresh:
                 self._data.update(fresh)
-                self._dirty.update(group_of(key) for key in fresh)
+                self._dirty.update(self._index(key) for key in fresh)
                 self.flush()
 
     def _sweep_stale_temp_files(self) -> None:
@@ -202,10 +205,16 @@ class ShardedCache:
     def put(self, key: str, value: object, flush: bool = True) -> None:
         """Store ``value`` and (by default) rewrite its shard atomically."""
         self._data[key] = value
-        group = group_of(key)
+        group = self._index(key)
         self._dirty.add(group)
         if flush:
             self.flush(group)
+
+    def _index(self, key: str) -> str:
+        """Record ``key`` under its shard group and return the group."""
+        group = group_of(key)
+        self._groups.setdefault(group, set()).add(key)
+        return group
 
     def flush(self, group: Optional[str] = None) -> None:
         """Write dirty shards to disk (``group=None`` flushes all of them)."""
@@ -220,24 +229,22 @@ class ShardedCache:
 
     def _write_shard(self, group: str) -> None:
         assert self.directory is not None
-        payload = {
-            key: value for key, value in self._data.items() if group_of(key) == group
-        }
+        payload = {key: self._data[key] for key in self._groups[group]}
+        # sort_keys makes the shard *byte*-deterministic: results land in
+        # completion order, which varies with worker count, but the file on
+        # disk must not.  The envelope's keys sort as __shard_format__ <
+        # products < sha256, so this text is exactly
+        # json.dumps(document, sort_keys=True), with the payload encoded once.
         payload_text = json.dumps(payload, sort_keys=True)
-        document = {
-            "__shard_format__": SHARD_FORMAT,
-            "sha256": _checksum(payload_text),
-            "products": payload,
-        }
+        text = (
+            f'{{"__shard_format__": {SHARD_FORMAT}, "products": {payload_text}, '
+            f'"sha256": "{_checksum(payload_text)}"}}'
+        )
         self.directory.mkdir(parents=True, exist_ok=True)
         handle, temp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(handle, "w") as stream:
-                # sort_keys matches the checksum text above and, more
-                # importantly, makes the shard *byte*-deterministic: results
-                # land in completion order, which varies with worker count,
-                # but the file on disk must not.
-                json.dump(document, stream, sort_keys=True)
+                stream.write(text)
             os.replace(temp_name, self.shard_path(group))
         except BaseException:
             if os.path.exists(temp_name):  # pragma: no cover - cleanup path
@@ -259,4 +266,4 @@ class ShardedCache:
 
     def groups(self) -> Set[str]:
         """Shard groups currently holding at least one key."""
-        return {group_of(key) for key in self._data}
+        return set(self._groups)

@@ -29,9 +29,10 @@ products are reproducible byte-for-byte across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from statistics import NormalDist
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -230,19 +231,46 @@ class AnalyticEngine(ExperimentEngine):
         self,
         model: SwitchModel,
         summary: TrafficSummary,
-        rho_total: float,
         rho_external: float,
         mean_packet: float,
-    ) -> float:
+    ) -> Callable[[float], float]:
+        """The round time ``T(ρ_total)`` under a fixed external load.
+
+        Only the P–K waiting time depends on ``ρ_total``, so every other
+        term, and the service moments, are computed here once per solve.
+        The returned function repeats :meth:`SwitchModel.waiting_time`'s
+        float operations in their order (``mean`` is ``1/(1/mean_service)``,
+        which can differ from ``mean_service`` in the last bit).  Where that
+        method's :func:`pk_waiting_time` call would raise — an unstable
+        queue or invalid service moments — the function makes the same call.
+        """
         share = max(1.0 - rho_external, self.min_bandwidth_share)
         serialization = summary.blocking_bytes / (model.port_bandwidth * share)
-        hop = model.idle_one_way(mean_packet) + model.waiting_time(rho_total, mean_packet)
-        return (
-            summary.compute
-            + summary.period
-            + serialization
-            + summary.blocking_latencies * hop
-        )
+        head = summary.compute + summary.period + serialization
+        latencies = summary.blocking_latencies
+        idle = model.idle_one_way(mean_packet)
+        mean_service = model.packet_service(mean_packet)
+        variance = model.service_variance
+        service_rate = 1.0 / mean_service
+        mean = 1.0 / service_rate
+        second_moment = variance + mean * mean
+        valid = service_rate > 0 and variance >= 0
+
+        def round_time(rho_total: float) -> float:
+            # min(max(ρ, 0.0), 0.999) without the calls; NaN and −0.0 pass
+            rho = 0.0 if rho_total < 0.0 else 0.999 if rho_total > 0.999 else rho_total
+            wait = 0.0
+            if rho != 0.0:
+                arrival = rho / mean_service
+                if arrival < service_rate and valid:
+                    wait = arrival * second_moment / (
+                        2.0 * (1.0 - arrival / service_rate)
+                    )
+                else:
+                    wait = pk_waiting_time(arrival, service_rate, variance)
+            return head + latencies * (idle + wait)
+
+        return round_time
 
     def _solve_rho(
         self,
@@ -258,35 +286,39 @@ class AnalyticEngine(ExperimentEngine):
         a longer round means a lower offered rate, ``h`` is strictly
         increasing, so bisection on [0, 1] converges unconditionally — the
         naive damped iteration oscillates here because Wq's blow-up makes
-        the map's slope steeper than −1 near the fixed point.
+        the map's slope steeper than −1 near the fixed point.  A step that
+        leaves ``(low, high)`` unchanged would repeat forever, so it ends
+        the bisection early with the same answer.
         """
         busy = model.busy_per_round(summary)
         if busy <= 0.0:
             return 0.0
-
-        def excess(rho: float) -> float:
-            period = self._round_time(
-                model, summary, rho_external + rho, rho_external, mean_packet
-            )
-            if period <= 0.0:
-                return -1.0  # zero-length round offering traffic: saturated
-            return rho - busy / (period * model.ports)
-
+        round_time = self._round_time(model, summary, rho_external, mean_packet)
+        ports = model.ports
+        # h(ρ) < 0 is inlined below; a zero-length round offering traffic
+        # counts as saturated (h = −1).
         low, high = 0.0, 1.0
-        if excess(high) < 0.0:
+        period = round_time(rho_external + high)
+        if period <= 0.0 or high - busy / (period * ports) < 0.0:
             raise AnalyticModelError(
                 f"analytic model saturated for {label!r}: offered load "
                 f"exceeds switch capacity even at utilization 1 "
                 "(use --engine sim for this experiment)"
             )
-        for _ in range(self._bisection_steps):
+        steps = 0
+        for steps in range(1, self._bisection_steps + 1):
             mid = 0.5 * (low + high)
-            if excess(mid) < 0.0:
+            period = round_time(rho_external + mid)
+            if period <= 0.0 or mid - busy / (period * ports) < 0.0:
+                if low == mid:
+                    break
                 low = mid
             else:
+                if high == mid:
+                    break
                 high = mid
         self._solve_count += 1
-        self._iteration_count += self._bisection_steps
+        self._iteration_count += steps
         return 0.5 * (low + high)
 
     def _solve(
@@ -312,7 +344,7 @@ class AnalyticEngine(ExperimentEngine):
                 "(Poisson/steady-state assumptions break down; "
                 "use --engine sim for this experiment)"
             )
-        period = self._round_time(model, summary, total, rho_external, mean_packet)
+        period = self._round_time(model, summary, rho_external, mean_packet)(total)
         return period, rho_self
 
     def _solve_joint(
@@ -522,12 +554,8 @@ class AnalyticEngine(ExperimentEngine):
             model, measured_summary, other_summary, mean_packet,
             measured.name, other.name,
         )
-        period = self._round_time(
-            model,
-            measured_summary,
-            rho_measured + rho_other,
-            rho_other,
-            mean_packet,
+        period = self._round_time(model, measured_summary, rho_other, mean_packet)(
+            rho_measured + rho_other
         )
         interfered = measured_summary.rounds * period
         return 100.0 * (interfered - baseline) / baseline
@@ -546,12 +574,24 @@ def _lognormal_histogram(mean: float, std: float, count: int) -> LatencyHistogra
     sigma_sq = math.log(1.0 + (std * std) / (mean * mean)) if std > 0 else 0.0
     sigma = math.sqrt(sigma_sq)
     mu = math.log(mean) - 0.5 * sigma_sq
+    samples = np.exp(mu + sigma * _normal_quantiles(count))
+    return LatencyHistogram.from_values(samples)
+
+
+@functools.lru_cache(maxsize=32)
+def _normal_quantiles(count: int) -> np.ndarray:
+    """Standard-normal quantiles at ``count`` midpoint probabilities.
+
+    Every signature of one campaign shares a probe count, so the
+    ``inv_cdf`` loop runs once per count.  The array is read-only because
+    every caller shares it.
+    """
     probabilities = (np.arange(count, dtype=float) + 0.5) / count
     quantiles = np.asarray(
         [_STANDARD_NORMAL.inv_cdf(float(p)) for p in probabilities]
     )
-    samples = np.exp(mu + sigma * quantiles)
-    return LatencyHistogram.from_values(samples)
+    quantiles.flags.writeable = False
+    return quantiles
 
 
 register_engine("analytic", AnalyticEngine)

@@ -42,7 +42,7 @@ saturated switch or link instead of extrapolating.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,48 +199,53 @@ class FluidEngine(ExperimentEngine):
     # Fixed point
     # ------------------------------------------------------------------
     def _round_time(
-        self,
-        state: "_FluidState",
-        load: _FluidLoad,
-        rho_total: np.ndarray,
-        rho_own: np.ndarray,
-        mean_packet: float,
-    ) -> float:
-        """One workload's round time under the fabric's utilization state.
+        self, state: "_FluidState", load: _FluidLoad, mean_packet: float
+    ) -> Callable[[np.ndarray, np.ndarray], float]:
+        """One workload's round time ``T(rho_total, rho_own)`` on the fabric.
 
-        The single-switch specialization of every term is the analytic
-        engine's ``_round_time``: with one resource the bottleneck share is
-        ``1 - rho_external``, ``extra_hops`` is zero, and the queue-share
-        vector is the single delivery port.
+        Every term that does not depend on the utilization state is
+        computed here once per solve, with the buffers the returned
+        function reuses; that function evaluates the rest in the original
+        float-operation order.  The single-switch specialization of every
+        term is the analytic engine's ``_round_time``: with one resource the
+        bottleneck share is ``1 - rho_external``, ``extra_hops`` is zero,
+        and the queue-share vector is the single delivery port.
         """
         model = state.model
         summary = load.summary
         touched = load.busy > 0.0
-        if touched.any():
-            bottleneck = int(np.argmax(np.where(touched, rho_total, -1.0)))
-            rho_external = rho_total[bottleneck] - rho_own[bottleneck]
-        else:
-            rho_external = 0.0
-        share = max(1.0 - rho_external, self.min_bandwidth_share)
-        serialization = summary.blocking_bytes / (model.port_bandwidth * share)
-        waiting = float(
-            load.queue_share
-            @ pk_waiting_times(
-                rho_total, model.packet_service(mean_packet), model.service_variance
+        any_touched = bool(touched.any())
+        masked = np.full(state.resource_count, -1.0)  # untouched stay -1
+        waits = np.empty(state.resource_count)
+        service = model.packet_service(mean_packet)
+        fixed_hop = model.idle_one_way(mean_packet) + load.extra_hops * (
+            service + state.link_latency
+        )
+        head = summary.compute + summary.period
+
+        def round_time(rho_total: np.ndarray, rho_own: np.ndarray) -> float:
+            if any_touched:
+                np.copyto(masked, rho_total, where=touched)
+                bottleneck = int(masked.argmax())
+                rho_external = rho_total[bottleneck] - rho_own[bottleneck]
+            else:
+                rho_external = 0.0
+            share = max(1.0 - rho_external, self.min_bandwidth_share)
+            serialization = summary.blocking_bytes / (model.port_bandwidth * share)
+            # pk_waiting_times is looked up through this module on every call
+            # (tracers patch it), and the dot product spans every resource:
+            # a shorter one would sum in a different order.
+            waiting = float(
+                load.queue_share
+                @ pk_waiting_times(
+                    rho_total, service, model.service_variance, out=waits
+                )
             )
-        )
-        hop = (
-            model.idle_one_way(mean_packet)
-            + load.extra_hops
-            * (model.packet_service(mean_packet) + state.link_latency)
-            + waiting
-        )
-        return (
-            summary.compute
-            + summary.period
-            + serialization
-            + summary.blocking_latencies * hop
-        )
+            return head + serialization + summary.blocking_latencies * (
+                fixed_hop + waiting
+            )
+
+        return round_time
 
     def _solve_round(
         self,
@@ -257,19 +262,24 @@ class FluidEngine(ExperimentEngine):
         ``T - f(T)`` is strictly increasing and bisection converges
         unconditionally — the same monotonicity argument as the analytic
         engine's bisection on ρ, transposed to the round time because the
-        workload's whole utilization *vector* scales with ``1/T``.
+        workload's whole utilization *vector* scales with ``1/T``.  As
+        there, a step that leaves ``(low, high)`` unchanged ends it early.
         """
-        idle = self._round_time(
-            state, load, rho_external, np.zeros_like(rho_external), mean_packet
-        )
+        round_time = self._round_time(state, load, mean_packet)
+        idle = round_time(rho_external, np.zeros_like(rho_external))
         if not load.busy.any():
             return idle
+        busy = load.busy
+        ports = state.ports
+        rho_own = np.empty_like(busy)
+        rho_total = np.empty_like(busy)
 
-        def offered(round_time: float) -> float:
-            rho_own = load.rho(round_time, state.ports)
-            return self._round_time(
-                state, load, rho_external + rho_own, rho_own, mean_packet
-            )
+        def offered(period: float) -> float:
+            # load.rho(period, ports) and ρ_ext + ρ_own, into the solve's buffers
+            np.multiply(period, ports, out=rho_own)
+            np.divide(busy, rho_own, out=rho_own)
+            np.add(rho_external, rho_own, out=rho_total)
+            return round_time(rho_total, rho_own)
 
         low = idle
         high = max(offered(low), low)
@@ -282,14 +292,19 @@ class FluidEngine(ExperimentEngine):
                 f"fluid model saturated for {label!r}: offered load exceeds "
                 "fabric capacity (use --engine sim for this experiment)"
             )
-        for _ in range(self._bisection_steps):
+        steps = 0
+        for steps in range(1, self._bisection_steps + 1):
             mid = 0.5 * (low + high)
             if mid - offered(mid) < 0.0:
+                if low == mid:
+                    break
                 low = mid
             else:
+                if high == mid:
+                    break
                 high = mid
         self._solve_count += 1
-        self._iteration_count += self._bisection_steps
+        self._iteration_count += steps
         return 0.5 * (low + high)
 
     def _check_validity(
@@ -609,12 +624,8 @@ class FluidEngine(ExperimentEngine):
             state, measured_load, other_load, mean_packet,
             measured.name, other.name,
         )
-        period = self._round_time(
-            state,
-            measured_load,
-            rho_measured + rho_other,
-            rho_measured,
-            mean_packet,
+        period = self._round_time(state, measured_load, mean_packet)(
+            rho_measured + rho_other, rho_measured
         )
         interfered = measured_load.summary.rounds * period
         return 100.0 * (interfered - baseline) / baseline

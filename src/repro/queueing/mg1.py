@@ -50,7 +50,7 @@ def pk_sojourn_time(arrival_rate: float, service_rate: float, service_variance: 
     return pk_waiting_time(arrival_rate, service_rate, service_variance) + 1.0 / service_rate
 
 
-def pk_waiting_times(utilizations, mean_service: float, service_variance: float):
+def pk_waiting_times(utilizations, mean_service: float, service_variance: float, out=None):
     """Vectorized Wq over a utilization array (one M/G/1 per resource).
 
     The fluid engine evaluates P–K waiting at every switch and directed
@@ -60,6 +60,10 @@ def pk_waiting_times(utilizations, mean_service: float, service_variance: float)
     engines' clamping convention (utilization pinned to [0, 0.999] so
     transiently-unstable fixed-point iterates pass through), elementwise in
     float64 — a one-element array reproduces the scalar path bit for bit.
+
+    The result is written into ``out`` (a float64 array of the
+    utilizations' shape) when given, so a solver can reuse one buffer
+    across steps; otherwise into a fresh array.
     """
     import numpy as np
 
@@ -69,12 +73,22 @@ def pk_waiting_times(utilizations, mean_service: float, service_variance: float)
         raise EstimationError(
             f"service variance must be non-negative, got {service_variance}"
         )
-    rho = np.clip(np.asarray(utilizations, dtype=float), 0.0, 0.999)
-    arrival_rate = rho / mean_service
     service_rate = 1.0 / mean_service
     mean = 1.0 / service_rate
     second_moment = service_variance + mean * mean
-    return arrival_rate * second_moment / (2.0 * (1.0 - arrival_rate / service_rate))
+    utilizations = np.asarray(utilizations, dtype=float)
+    if out is None:
+        out = np.empty_like(utilizations)
+    denominator = np.empty_like(out)
+    # λ·E[S²] / (2·(1 − λ/µ)), elementwise and in place.
+    utilizations.clip(0.0, 0.999, out=out)  # np.clip, minus its dispatch
+    np.divide(out, mean_service, out=out)
+    np.divide(out, service_rate, out=denominator)
+    np.subtract(1.0, denominator, out=denominator)
+    np.multiply(2.0, denominator, out=denominator)
+    np.multiply(out, second_moment, out=out)
+    np.divide(out, denominator, out=out)
+    return out
 
 
 @dataclass(frozen=True)

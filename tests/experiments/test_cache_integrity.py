@@ -1,5 +1,6 @@
 """Integrity tests for the checksummed, quarantining ShardedCache."""
 
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,96 @@ def test_legacy_bare_mapping_shard_still_loads(tmp_path):
     document = json.loads((tmp_path / "impact.json").read_text())
     assert document["__shard_format__"] == 2
     assert document["products"]["impact/fftw"] == 7
+
+
+# ----------------------------------------------------------------------
+# Shard bytes
+# ----------------------------------------------------------------------
+PAYLOADS = {
+    "impact/nested": {
+        "histogram": {"edges": [0.0, 1.5e-06, 2.0], "counts": [3, 0, 1]},
+        "meta": {"ok": True, "skip": None, "rows": [[1, 2], [], {"a": []}]},
+    },
+    "impact/text": {"label": "Größe in µs — 日本語", "empty": ""},
+    "impact/special": {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+    "impact/scalars": [1, -2, 0, 2**70, True, False, None, 1e300, -0.0, 0.1],
+    "baseline/fftw": 0.25,
+}
+
+
+def _expected_shard(products):
+    """A shard as the plain sorted-keys encoding of its whole envelope."""
+    payload_text = json.dumps(products, sort_keys=True)
+    document = {
+        "__shard_format__": 2,
+        "sha256": hashlib.sha256(payload_text.encode("utf-8")).hexdigest(),
+        "products": products,
+    }
+    return json.dumps(document, sort_keys=True).encode("ascii")
+
+
+def _group(products, group):
+    return {key: value for key, value in products.items() if group_of(key) == group}
+
+
+def test_shard_bytes_are_the_sorted_envelope(tmp_path):
+    cache = ShardedCache(tmp_path)
+    for key, value in reversed(PAYLOADS.items()):  # insertion order is irrelevant
+        cache.put(key, value)
+    assert (tmp_path / "impact.json").read_bytes() == _expected_shard(
+        _group(PAYLOADS, "impact")
+    )
+    assert (tmp_path / "baseline.json").read_bytes() == _expected_shard(
+        _group(PAYLOADS, "baseline")
+    )
+    reloaded = ShardedCache(tmp_path)
+    assert reloaded.quarantined == []
+    assert json.dumps(reloaded.snapshot(), sort_keys=True) == json.dumps(
+        PAYLOADS, sort_keys=True
+    )
+
+
+def test_put_after_reopen_rewrites_the_whole_group(tmp_path):
+    _populate(tmp_path)
+    reopened = ShardedCache(tmp_path)
+    reopened.put("impact/lulesh", {"mean": 3.5})
+    assert (tmp_path / "impact.json").read_bytes() == _expected_shard(
+        {
+            "impact/fftw": {"mean": 1.5},
+            "impact/mcb": {"mean": 2.5},
+            "impact/lulesh": {"mean": 3.5},
+        }
+    )
+    assert reopened.groups() == {"impact", "baseline"}
+
+
+def test_put_after_legacy_migration_rewrites_the_whole_group(tmp_path):
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(
+        json.dumps({"impact/fftw": {"mean": 1.5}, "baseline/fftw": 0.25})
+    )
+    shards = tmp_path / "shards"
+    migrated = ShardedCache(shards, legacy_path=legacy)
+    migrated.put("impact/mcb", {"mean": 2.5})
+    assert (shards / "impact.json").read_bytes() == _expected_shard(
+        {"impact/fftw": {"mean": 1.5}, "impact/mcb": {"mean": 2.5}}
+    )
+    reopened = ShardedCache(shards)  # from the migrated shards alone
+    reopened.put("baseline/milc", 0.5)
+    assert (shards / "baseline.json").read_bytes() == _expected_shard(
+        {"baseline/fftw": 0.25, "baseline/milc": 0.5}
+    )
+    assert reopened.groups() == {"impact", "baseline"}
+
+
+def test_sanitized_groups_share_one_shard(tmp_path):
+    cache = ShardedCache(tmp_path)
+    cache.put("weird key/x", 1)
+    cache.put("weird_key/y", 2)
+    assert cache.groups() == {"weird_key"}
+    assert (tmp_path / "weird_key.json").read_bytes() == _expected_shard(
+        {"weird key/x": 1, "weird_key/y": 2}
+    )
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import EstimationError
-from repro.queueing import MG1, MM1, pk_sojourn_time, pk_waiting_time
+from repro.queueing import MG1, MM1, pk_sojourn_time, pk_waiting_time, pk_waiting_times
 
 
 def test_zero_arrivals_gives_pure_service_time():
@@ -111,3 +112,68 @@ def test_property_waiting_increases_with_variance(lam, scv):
     else:
         # At (near-)zero load the wait is (near-)zero regardless of variance.
         assert more >= base
+
+
+# ----------------------------------------------------------------------
+# Vectorized P–K (the fluid engine's per-resource waits)
+# ----------------------------------------------------------------------
+def _clamped_scalar_wait(utilization, mean_service, variance):
+    """The scalar path under the engines' clamp, as SwitchModel.waiting_time."""
+    rho = min(max(utilization, 0.0), 0.999)
+    return pk_waiting_time(rho / mean_service, 1.0 / mean_service, variance)
+
+
+EDGE_UTILIZATIONS = [-1.0, -1e-300, 0.0, 1e-300, 0.5, 0.999, 0.9990001, 1.0, 7.0, math.nan]
+
+
+@given(
+    utilizations=st.lists(
+        st.floats() | st.sampled_from(EDGE_UTILIZATIONS), min_size=1, max_size=40
+    ),
+    mean_service=st.floats(min_value=1e-9, max_value=1e-3),
+    variance=st.floats(min_value=0.0, max_value=1e-12),
+)
+def test_pk_waiting_times_matches_clamped_scalar(utilizations, mean_service, variance):
+    waits = pk_waiting_times(np.array(utilizations), mean_service, variance)
+    expected = [_clamped_scalar_wait(u, mean_service, variance) for u in utilizations]
+    assert np.array_equal(waits, np.array(expected), equal_nan=True)
+    # A one-element array is the scalar path, bit for bit.
+    for utilization, scalar in zip(utilizations, expected):
+        one = pk_waiting_times(np.array([utilization]), mean_service, variance)
+        assert float(one[0]).hex() == float(scalar).hex()
+
+
+def test_pk_waiting_times_edge_utilizations():
+    mean_service, variance = 2e-7, 1e-15
+    waits = pk_waiting_times(np.array(EDGE_UTILIZATIONS), mean_service, variance)
+    by_utilization = dict(zip(EDGE_UTILIZATIONS[:-1], waits[:-1]))
+    assert by_utilization[-1.0] == by_utilization[0.0] == 0.0  # clamped below
+    assert by_utilization[1.0] == by_utilization[7.0] == by_utilization[0.999]
+    assert by_utilization[0.9990001] == by_utilization[0.999]  # clamped above
+    assert math.isnan(waits[-1])  # NaN passes through the clamp
+
+
+@given(
+    utilizations=st.lists(
+        st.floats() | st.sampled_from(EDGE_UTILIZATIONS), min_size=1, max_size=40
+    ),
+    mean_service=st.floats(min_value=1e-9, max_value=1e-3),
+    variance=st.floats(min_value=0.0, max_value=1e-12),
+)
+def test_pk_waiting_times_out_buffer_equals_allocating_path(
+    utilizations, mean_service, variance
+):
+    rho = np.array(utilizations)
+    fresh = pk_waiting_times(rho, mean_service, variance)
+    buffer = np.full_like(rho, 123.0)  # stale contents must not leak through
+    written = pk_waiting_times(rho, mean_service, variance, out=buffer)
+    assert written is buffer
+    assert np.array_equal(buffer, fresh, equal_nan=True)
+    assert np.array_equal(rho, np.array(utilizations), equal_nan=True)  # input intact
+
+
+def test_pk_waiting_times_validates_moments():
+    with pytest.raises(EstimationError, match="mean service"):
+        pk_waiting_times(np.array([0.5]), 0.0, 0.0)
+    with pytest.raises(EstimationError, match="variance"):
+        pk_waiting_times(np.array([0.5]), 1e-6, -1.0)
