@@ -1,8 +1,10 @@
 """The analytic engine: experiments answered by closed-form M/G/1 math.
 
-Instead of simulating packets, this backend derives each workload's offered
-load from its :class:`~repro.workloads.traffic.TrafficSummary` and solves a
-small fixed point per experiment:
+:class:`ClosedFormEngine`, the layer it shares with the fluid engine, also
+lives here.  Instead of simulating packets, this backend derives each
+workload's offered load from its
+:class:`~repro.workloads.traffic.TrafficSummary` and solves a small fixed
+point per experiment:
 
     round time  T(ρ) = compute + period + serialization/(bandwidth share)
                        + blocking latencies · (idle hop + Wq(ρ))
@@ -18,7 +20,7 @@ exactly — the pipeline's queue models see self-consistent inputs either way.
 
 The model assumes Poisson packet arrivals, steady state, and a stable,
 non-saturated switch.  Outside that trust region — converged utilization at
-or beyond :data:`AnalyticEngine.max_utilization`, a non-convergent fixed
+or beyond :data:`ClosedFormEngine.max_utilization`, a non-convergent fixed
 point, or a workload without a traffic summary — it raises
 :class:`~repro.errors.AnalyticModelError` instead of extrapolating.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from statistics import NormalDist
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .base import EngineCapabilities, ExperimentEngine, register_engine
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.experiments.pipeline import ExperimentDescriptor, PipelineSettings
 
-__all__ = ["AnalyticEngine", "SwitchModel"]
+__all__ = ["AnalyticEngine", "ClosedFormEngine", "SwitchModel"]
 
 #: Histogram synthesis cap: quantile samples beyond this add no visible mass.
 _MAX_SYNTH_SAMPLES = 4096
@@ -92,14 +94,18 @@ class SwitchModel:
             return nbytes / self.port_bandwidth + self.service_mean
         return self.service_mean
 
+    def busy(self, nbytes, npackets):
+        """Switch busy seconds ``npackets`` packets of ``nbytes`` in all cause.
+
+        Takes floats or equal-shaped arrays (one entry per resource).
+        """
+        if self.size_dependent:
+            return nbytes / self.port_bandwidth + npackets * self.service_mean
+        return npackets * self.service_mean
+
     def busy_per_round(self, summary: TrafficSummary) -> float:
         """Switch busy seconds one round of ``summary`` generates."""
-        if self.size_dependent:
-            return (
-                summary.bytes / self.port_bandwidth
-                + summary.packets * self.service_mean
-            )
-        return summary.packets * self.service_mean
+        return self.busy(summary.bytes, summary.packets)
 
     def idle_one_way(self, nbytes: float) -> float:
         """Uncontended one-way path latency for one ``nbytes`` packet."""
@@ -134,24 +140,25 @@ class SwitchModel:
         )
 
 
-class AnalyticEngine(ExperimentEngine):
-    """Answers experiment descriptors from M/G/1 closed forms.
+class ClosedFormEngine(ExperimentEngine):
+    """Products, joint solve and telemetry shared by the closed-form engines.
 
-    A full paper campaign (~330 products) completes in well under ten
-    seconds because each product costs one small fixed-point solve instead
-    of millions of simulated events.  Use it for sweeps, sanity checks, and
-    CI smoke; use the ``sim`` engine when packet-level fidelity matters.
+    The analytic and fluid engines subclass it.  Each supplies its machine
+    view (``_state``), a workload's load on it (``_load``, and ``_summary``
+    for the traffic behind a load), the lone-workload ``_solve``, the joint
+    solve's ``_best_response()``, ``_zero`` and ``_norm``, ``_calibration``,
+    ``_interfered_round_time``, and the utilizations the probe samples and
+    switch 0 reports.
 
     Attributes:
-        max_utilization: validity ceiling — converged total utilization at
-            or above this raises :class:`AnalyticModelError` (the Poisson /
+        max_utilization: validity ceiling — converged utilization at or
+            above this raises :class:`AnalyticModelError` (the Poisson /
             steady-state assumptions have no business beyond it).
         min_bandwidth_share: floor on the (1 − ρ_ext) bandwidth share an
             interfered workload keeps, mirroring the round-robin port
             arbitration that never fully starves a flow.
     """
 
-    name = "analytic"
     max_utilization = 0.95
     min_bandwidth_share = 0.05
     _bisection_steps = 60
@@ -165,7 +172,7 @@ class AnalyticEngine(ExperimentEngine):
     # ------------------------------------------------------------------
     def run(self, descriptor: "ExperimentDescriptor") -> object:
         # Per-inner-solve counts accumulate on plain ints and flush to the
-        # registry once per product: _solve_rho runs tens of times per
+        # registry once per product: the inner solve runs tens of times per
         # product, and per-call registry traffic is measurable campaign
         # overhead (the ≤5% budget in benchmarks/test_perf_telemetry.py).
         self._solve_count = 0
@@ -179,13 +186,271 @@ class AnalyticEngine(ExperimentEngine):
             )
             if self._solve_count:
                 registry.counter_inc(
-                    "engine.analytic.solves", float(self._solve_count)
+                    f"engine.{self.name}.solves", float(self._solve_count)
                 )
                 registry.counter_inc(
-                    "engine.analytic.solve_iterations",
+                    f"engine.{self.name}.solve_iterations",
                     float(self._iteration_count),
                 )
         return result
+
+    def _dispatch(self, descriptor: "ExperimentDescriptor") -> object:
+        settings = descriptor.settings
+        state = self._state(descriptor.machine_config)
+        if descriptor.kind == "calibration":
+            return self._calibration(state, settings)
+        if descriptor.kind == "impact":
+            return self._impact(state, settings, descriptor)
+        if descriptor.kind == "comp_sig":
+            return self._comp_sig(state, settings, descriptor)
+        if descriptor.kind == "baseline":
+            return self._baseline(state, descriptor.workload)
+        if descriptor.kind == "degradation":
+            comp = CompressionB(descriptor.comp_config)
+            return self._slowdown(state, descriptor.workload, comp, descriptor.baseline)
+        if descriptor.kind == "pair":
+            return self._slowdown(
+                state, descriptor.workload, descriptor.other, descriptor.baseline
+            )
+        raise ExperimentError(f"unknown descriptor kind {descriptor.kind!r}")
+
+    # ------------------------------------------------------------------
+    # Fixed point
+    # ------------------------------------------------------------------
+    def _solve_joint(
+        self,
+        state: Any,
+        first: Any,
+        second: Any,
+        mean_packet: float,
+        first_label: str,
+        second_label: str,
+    ) -> tuple:
+        """Coupled equilibrium ``(rho_first, rho_second)`` of two workloads.
+
+        Each workload's round time stretches under the *other's* converged
+        utilization (not its isolated one — a co-runner under interference
+        slows down and offers less load, which is exactly what keeps two
+        heavy workloads below saturation in the simulator).  Damped
+        Gauss–Seidel over the two monotone best-response curves.
+        """
+        respond = self._best_response()
+        norm = self._norm
+        rho_first = rho_second = self._zero(state)
+        for iteration in range(1, self._max_iterations + 1):
+            next_first = respond(state, first, rho_second, mean_packet, first_label)
+            next_second = respond(state, second, next_first, mean_packet, second_label)
+            residual = max(norm(next_first - rho_first), norm(next_second - rho_second))
+            if residual <= self._tolerance:
+                rho_first, rho_second = next_first, next_second
+                if telemetry.enabled():
+                    registry = telemetry.registry()
+                    registry.counter_inc(f"engine.{self.name}.joint_solves")
+                    registry.counter_inc(
+                        f"engine.{self.name}.joint_iterations", float(iteration)
+                    )
+                    registry.observe(f"engine.{self.name}.joint_residual", residual)
+                break
+            rho_first = 0.5 * (rho_first + next_first)
+            rho_second = 0.5 * (rho_second + next_second)
+        else:
+            raise AnalyticModelError(
+                f"{self.name} joint equilibrium for {first_label!r} + "
+                f"{second_label!r} did not converge"
+            )
+        self._check_validity(
+            state, rho_first + rho_second, f"{first_label} + {second_label}"
+        )
+        return rho_first, rho_second
+
+    def _check_validity(
+        self, state: Any, rho: float, label: str, where: str = ""
+    ) -> None:
+        """Refuse a converged utilization at or beyond the validity ceiling.
+
+        A near-saturated switch is where the Poisson/steady-state algebra
+        has nothing trustworthy to say.
+        """
+        if rho >= self.max_utilization:
+            raise AnalyticModelError(
+                f"{self.name} model out of validity range for {label!r}: "
+                f"utilization {rho:.3f}{where} >= {self.max_utilization} "
+                "(Poisson/steady-state assumptions break down; "
+                "use --engine sim for this experiment)"
+            )
+
+    def _mean_packet(self, loads: Sequence[Any]) -> float:
+        """Packet-weighted mean packet size over the active traffic mix."""
+        summaries = [self._summary(load) for load in loads]
+        packets = sum(s.packets for s in summaries)
+        if packets <= 0:
+            return 0.0
+        return sum(s.bytes for s in summaries) / packets
+
+    def _probe_load(self, state: Any, settings: "PipelineSettings") -> Any:
+        probe = ImpactB(LatencyCollector(), interval=settings.probe_interval)
+        return self._load(state, probe)
+
+    # ------------------------------------------------------------------
+    # Products
+    # ------------------------------------------------------------------
+    def _probe_count(
+        self, settings: "PipelineSettings", config: MachineConfig, duration: float
+    ) -> int:
+        pairs = (config.node_count // 2) * config.node.sockets
+        # Matches the sim path: 10% of the window is discarded as warm-up.
+        expected = 0.9 * duration / settings.probe_interval * max(1, pairs)
+        return max(2, min(_MAX_SYNTH_SAMPLES, int(expected)))
+
+    def _signature(
+        self,
+        state: Any,
+        settings: "PipelineSettings",
+        calibration: Optional[dict],
+        rho: float,
+        duration: float,
+    ) -> dict:
+        if calibration is None:
+            raise AnalyticModelError(
+                f"{self.name} signatures need a calibration estimate in the descriptor"
+            )
+        estimate = ServiceEstimate.from_dict(calibration)
+        mean = sojourn_from_utilization(rho, estimate.rate, estimate.variance)
+        # Spread grows with congestion: the idle dispersion stretched by the
+        # same 1/(1-rho) factor that stretches the queueing delay.
+        std = math.sqrt(max(estimate.variance, 1e-18)) / (1.0 - rho)
+        count = self._probe_count(settings, state.config, duration)
+        histogram = _lognormal_histogram(mean, std, count)
+        return {
+            "mean": mean,
+            "std": std,
+            "count": count,
+            "utilization": rho,
+            "histogram": histogram.to_dict(),
+        }
+
+    def _probe_impact(
+        self,
+        state: Any,
+        settings: "PipelineSettings",
+        calibration: Optional[dict],
+        duration: float,
+        workload: Optional[Workload] = None,
+        label: str = "",
+    ) -> dict:
+        """The probe's impact product, alone or beside ``workload``."""
+        probe = self._probe_load(state, settings)
+        if workload is None:
+            _period, rho = self._solve(
+                state, probe, self._mean_packet([probe]), "impactb"
+            )
+        else:
+            other = self._load(state, workload)
+            rho_probe, rho_other = self._solve_joint(
+                state, probe, other, self._mean_packet([probe, other]), "impactb", label
+            )
+            rho = rho_probe + rho_other
+        signature = self._signature(
+            state, settings, calibration, self._probe_utilization(state, rho), duration
+        )
+        return {
+            "signature": signature,
+            # Sim parity: the simulator reports switch 0 (the single switch,
+            # or leaf0 on fabrics).
+            "true_utilization": self._switch_utilization(rho),
+            "sim_time": duration,
+        }
+
+    def _impact(
+        self,
+        state: Any,
+        settings: "PipelineSettings",
+        descriptor: "ExperimentDescriptor",
+    ) -> dict:
+        workload = descriptor.workload
+        return self._probe_impact(
+            state,
+            settings,
+            descriptor.calibration,
+            settings.impact_duration,
+            workload,
+            "" if workload is None else workload.name,
+        )
+
+    def _comp_sig(
+        self,
+        state: Any,
+        settings: "PipelineSettings",
+        descriptor: "ExperimentDescriptor",
+    ) -> dict:
+        comp_config = descriptor.comp_config
+        impact = self._probe_impact(
+            state,
+            settings,
+            descriptor.calibration,
+            settings.signature_duration,
+            CompressionB(comp_config),
+            comp_config.label,
+        )
+        return {
+            "partners": comp_config.partners,
+            "messages": comp_config.messages,
+            "sleep_cycles": comp_config.sleep_cycles,
+            "message_bytes": comp_config.message_bytes,
+            "impact": impact,
+        }
+
+    def _baseline(self, state: Any, workload: Optional[Workload]) -> float:
+        if workload is None:
+            raise ExperimentError("baseline descriptors need a workload")
+        load = self._load(state, workload)
+        period, _rho = self._solve(
+            state, load, self._mean_packet([load]), workload.name
+        )
+        return self._summary(load).rounds * period
+
+    def _slowdown(
+        self,
+        state: Any,
+        measured: Optional[Workload],
+        other: Optional[Workload],
+        baseline: Optional[float],
+    ) -> float:
+        if measured is None or other is None:
+            raise ExperimentError("slowdown descriptors need both workloads")
+        if baseline is None or baseline <= 0:
+            raise ExperimentError(
+                f"slowdown for {measured.name!r} needs a positive baseline"
+            )
+        measured_load = self._load(state, measured)
+        other_load = self._load(state, other)
+        mean_packet = self._mean_packet([measured_load, other_load])
+        rho_measured, rho_other = self._solve_joint(
+            state, measured_load, other_load, mean_packet,
+            measured.name, other.name,
+        )
+        period = self._interfered_round_time(
+            state, measured_load, rho_measured, rho_other, mean_packet
+        )
+        interfered = self._summary(measured_load).rounds * period
+        return 100.0 * (interfered - baseline) / baseline
+
+
+class AnalyticEngine(ClosedFormEngine):
+    """Answers experiment descriptors from M/G/1 closed forms on one switch.
+
+    Each product costs one small fixed-point solve instead of millions of
+    simulated events: the harness's ``analytic-paper`` workload (a cold
+    330-product paper campaign) runs at about 440 products per second at
+    reference speed (``python3 benchmarks/harness/bench.py run --workload
+    analytic-paper``).  Use it for sweeps, sanity checks, and CI smoke; use
+    the ``sim`` engine when packet-level fidelity matters.
+    """
+
+    name = "analytic"
+    _state = SwitchModel
+    #: A joint step's size: the utilization is one scalar.
+    _norm = abs
 
     def capabilities(self) -> EngineCapabilities:
         """Single-switch M/G/1 only: no fabrics, no faults.
@@ -204,25 +469,13 @@ class AnalyticEngine(ExperimentEngine):
             summary="closed-form M/G/1 fixed point; single switch only",
         )
 
-    def _dispatch(self, descriptor: "ExperimentDescriptor") -> object:
-        settings = descriptor.settings
-        model = SwitchModel(descriptor.machine_config)
-        if descriptor.kind == "calibration":
-            return self._calibration(model, settings)
-        if descriptor.kind == "impact":
-            return self._impact(model, settings, descriptor)
-        if descriptor.kind == "comp_sig":
-            return self._comp_sig(model, settings, descriptor)
-        if descriptor.kind == "baseline":
-            return self._baseline(model, descriptor.workload)
-        if descriptor.kind == "degradation":
-            comp = CompressionB(descriptor.comp_config)
-            return self._slowdown(model, descriptor.workload, comp, descriptor.baseline)
-        if descriptor.kind == "pair":
-            return self._slowdown(
-                model, descriptor.workload, descriptor.other, descriptor.baseline
-            )
-        raise ExperimentError(f"unknown descriptor kind {descriptor.kind!r}")
+    @staticmethod
+    def _load(model: SwitchModel, workload: Workload) -> TrafficSummary:
+        return workload.traffic(model.config)
+
+    @staticmethod
+    def _summary(load: TrafficSummary) -> TrafficSummary:
+        return load
 
     # ------------------------------------------------------------------
     # Fixed point
@@ -290,7 +543,7 @@ class AnalyticEngine(ExperimentEngine):
         leaves ``(low, high)`` unchanged would repeat forever, so it ends
         the bisection early with the same answer.
         """
-        busy = model.busy_per_round(summary)
+        busy = model.busy(summary.bytes, summary.packets)
         if busy <= 0.0:
             return 0.0
         round_time = self._round_time(model, summary, rho_external, mean_packet)
@@ -321,111 +574,39 @@ class AnalyticEngine(ExperimentEngine):
         self._iteration_count += steps
         return 0.5 * (low + high)
 
+    def _best_response(self) -> Callable[..., float]:
+        return self._solve_rho
+
+    @staticmethod
+    def _zero(model: SwitchModel) -> float:
+        return 0.0
+
     def _solve(
         self,
         model: SwitchModel,
         summary: TrafficSummary,
-        rho_external: float,
         mean_packet: float,
         label: str,
     ) -> tuple:
-        """``(round_time, rho_self)`` equilibrium under ``rho_external``.
+        """``(round_time, rho)`` equilibrium of one lone workload."""
+        rho = self._solve_rho(model, summary, 0.0, mean_packet, label)
+        self._check_validity(model, rho, label)
+        return self._round_time(model, summary, 0.0, mean_packet)(rho), rho
 
-        A converged total beyond the validity ceiling raises
-        :class:`AnalyticModelError` — the Poisson/steady-state algebra has
-        nothing trustworthy to say about a near-saturated switch.
-        """
-        rho_self = self._solve_rho(model, summary, rho_external, mean_packet, label)
-        total = rho_external + rho_self
-        if total >= self.max_utilization:
-            raise AnalyticModelError(
-                f"analytic model out of validity range for {label!r}: "
-                f"utilization {total:.3f} >= {self.max_utilization} "
-                "(Poisson/steady-state assumptions break down; "
-                "use --engine sim for this experiment)"
-            )
-        period = self._round_time(model, summary, rho_external, mean_packet)(total)
-        return period, rho_self
-
-    def _solve_joint(
+    def _interfered_round_time(
         self,
         model: SwitchModel,
-        first: TrafficSummary,
-        second: TrafficSummary,
+        summary: TrafficSummary,
+        rho_measured: float,
+        rho_other: float,
         mean_packet: float,
-        first_label: str,
-        second_label: str,
-    ) -> tuple:
-        """Coupled equilibrium ``(rho_first, rho_second)`` of two workloads.
-
-        Each workload's round time stretches under the *other's* converged
-        utilization (not its isolated one — a co-runner under interference
-        slows down and offers less load, which is exactly what keeps two
-        heavy workloads below saturation in the simulator).  Damped
-        Gauss–Seidel over the two monotone best-response curves.
-        """
-        rho_first = rho_second = 0.0
-        for iteration in range(1, self._max_iterations + 1):
-            next_first = self._solve_rho(
-                model, first, rho_second, mean_packet, first_label
-            )
-            next_second = self._solve_rho(
-                model, second, next_first, mean_packet, second_label
-            )
-            residual = max(
-                abs(next_first - rho_first), abs(next_second - rho_second)
-            )
-            if residual <= self._tolerance:
-                rho_first, rho_second = next_first, next_second
-                if telemetry.enabled():
-                    registry = telemetry.registry()
-                    registry.counter_inc("engine.analytic.joint_solves")
-                    registry.counter_inc(
-                        "engine.analytic.joint_iterations", float(iteration)
-                    )
-                    registry.observe("engine.analytic.joint_residual", residual)
-                break
-            rho_first = 0.5 * (rho_first + next_first)
-            rho_second = 0.5 * (rho_second + next_second)
-        else:
-            raise AnalyticModelError(
-                f"analytic joint equilibrium for {first_label!r} + "
-                f"{second_label!r} did not converge"
-            )
-        total = rho_first + rho_second
-        if total >= self.max_utilization:
-            raise AnalyticModelError(
-                f"analytic model out of validity range for {first_label!r} + "
-                f"{second_label!r}: utilization {total:.3f} >= "
-                f"{self.max_utilization} (use --engine sim for this experiment)"
-            )
-        return rho_first, rho_second
-
-    @staticmethod
-    def _mean_packet(summaries: Sequence[TrafficSummary]) -> float:
-        """Packet-weighted mean packet size over the active traffic mix."""
-        packets = sum(s.packets for s in summaries)
-        if packets <= 0:
-            return 0.0
-        return sum(s.bytes for s in summaries) / packets
-
-    def _probe_summary(
-        self, config: MachineConfig, settings: "PipelineSettings"
-    ) -> TrafficSummary:
-        probe = ImpactB(LatencyCollector(), interval=settings.probe_interval)
-        return probe.traffic(config)
+    ) -> float:
+        round_time = self._round_time(model, summary, rho_other, mean_packet)
+        return round_time(rho_measured + rho_other)
 
     # ------------------------------------------------------------------
     # Products
     # ------------------------------------------------------------------
-    def _probe_count(
-        self, settings: "PipelineSettings", config: MachineConfig, duration: float
-    ) -> int:
-        pairs = (config.node_count // 2) * config.node.sockets
-        # Matches the sim path: 10% of the window is discarded as warm-up.
-        expected = 0.9 * duration / settings.probe_interval * max(1, pairs)
-        return max(2, min(_MAX_SYNTH_SAMPLES, int(expected)))
-
     def _calibration(self, model: SwitchModel, settings: "PipelineSettings") -> dict:
         probe_bytes = 1024  # ImpactB's single-packet probe message
         mean = model.idle_one_way(probe_bytes)
@@ -439,126 +620,13 @@ class AnalyticEngine(ExperimentEngine):
             sample_count=count,
         ).to_dict()
 
-    def _signature(
-        self,
-        model: SwitchModel,
-        settings: "PipelineSettings",
-        calibration: Optional[dict],
-        rho: float,
-        duration: float,
-    ) -> dict:
-        if calibration is None:
-            raise AnalyticModelError(
-                "analytic signatures need a calibration estimate in the descriptor"
-            )
-        estimate = ServiceEstimate.from_dict(calibration)
-        mean = sojourn_from_utilization(rho, estimate.rate, estimate.variance)
-        # Spread grows with congestion: the idle dispersion stretched by the
-        # same 1/(1-rho) factor that stretches the queueing delay.
-        std = math.sqrt(max(estimate.variance, 1e-18)) / (1.0 - rho)
-        count = self._probe_count(settings, model.config, duration)
-        histogram = _lognormal_histogram(mean, std, count)
-        return {
-            "mean": mean,
-            "std": std,
-            "count": count,
-            "utilization": rho,
-            "histogram": histogram.to_dict(),
-        }
+    @staticmethod
+    def _probe_utilization(model: SwitchModel, rho: float) -> float:
+        return rho
 
-    def _impact(
-        self,
-        model: SwitchModel,
-        settings: "PipelineSettings",
-        descriptor: "ExperimentDescriptor",
-    ) -> dict:
-        probe = self._probe_summary(model.config, settings)
-        workload = descriptor.workload
-        if workload is None:
-            _period, rho = self._solve(
-                model, probe, 0.0, self._mean_packet([probe]), "impactb"
-            )
-        else:
-            summary = workload.traffic(model.config)
-            mean_packet = self._mean_packet([probe, summary])
-            rho_probe, rho_app = self._solve_joint(
-                model, probe, summary, mean_packet, "impactb", workload.name
-            )
-            rho = rho_probe + rho_app
-        return {
-            "signature": self._signature(
-                model, settings, descriptor.calibration, rho, settings.impact_duration
-            ),
-            "true_utilization": rho,
-            "sim_time": settings.impact_duration,
-        }
-
-    def _comp_sig(
-        self,
-        model: SwitchModel,
-        settings: "PipelineSettings",
-        descriptor: "ExperimentDescriptor",
-    ) -> dict:
-        comp_config = descriptor.comp_config
-        workload = CompressionB(comp_config)
-        probe = self._probe_summary(model.config, settings)
-        summary = workload.traffic(model.config)
-        mean_packet = self._mean_packet([probe, summary])
-        rho_probe, rho_comp = self._solve_joint(
-            model, probe, summary, mean_packet, "impactb", comp_config.label
-        )
-        rho = rho_probe + rho_comp
-        return {
-            "partners": comp_config.partners,
-            "messages": comp_config.messages,
-            "sleep_cycles": comp_config.sleep_cycles,
-            "message_bytes": comp_config.message_bytes,
-            "impact": {
-                "signature": self._signature(
-                    model,
-                    settings,
-                    descriptor.calibration,
-                    rho,
-                    settings.signature_duration,
-                ),
-                "true_utilization": rho,
-                "sim_time": settings.signature_duration,
-            },
-        }
-
-    def _baseline(self, model: SwitchModel, workload: Optional[Workload]) -> float:
-        if workload is None:
-            raise ExperimentError("baseline descriptors need a workload")
-        summary = workload.traffic(model.config)
-        mean_packet = self._mean_packet([summary])
-        period, _rho = self._solve(model, summary, 0.0, mean_packet, workload.name)
-        return summary.rounds * period
-
-    def _slowdown(
-        self,
-        model: SwitchModel,
-        measured: Optional[Workload],
-        other: Optional[Workload],
-        baseline: Optional[float],
-    ) -> float:
-        if measured is None or other is None:
-            raise ExperimentError("slowdown descriptors need both workloads")
-        if baseline is None or baseline <= 0:
-            raise ExperimentError(
-                f"slowdown for {measured.name!r} needs a positive baseline"
-            )
-        measured_summary = measured.traffic(model.config)
-        other_summary = other.traffic(model.config)
-        mean_packet = self._mean_packet([measured_summary, other_summary])
-        rho_measured, rho_other = self._solve_joint(
-            model, measured_summary, other_summary, mean_packet,
-            measured.name, other.name,
-        )
-        period = self._round_time(model, measured_summary, rho_other, mean_packet)(
-            rho_measured + rho_other
-        )
-        interfered = measured_summary.rounds * period
-        return 100.0 * (interfered - baseline) / baseline
+    @staticmethod
+    def _switch_utilization(rho: float) -> float:
+        return rho
 
 
 def _lognormal_histogram(mean: float, std: float, count: int) -> LatencyHistogram:

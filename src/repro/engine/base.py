@@ -3,8 +3,8 @@
 An :class:`~repro.core.experiments.pipeline.ExperimentDescriptor` is a pure
 *description* of one campaign experiment; an :class:`ExperimentEngine` is a
 strategy for answering it.  The registry maps engine names (``"sim"``,
-``"analytic"``) to lazily-constructed engine instances, so the pipeline
-never hard-codes how a product gets computed.
+``"analytic"``, ``"fluid"``) to lazily-constructed engine instances, so the
+pipeline never hard-codes how a product gets computed.
 
 Built-in engines live in sibling modules that are imported only when first
 requested — this module must stay import-light because the experiments

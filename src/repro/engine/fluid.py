@@ -26,6 +26,11 @@ tier's validated tolerance bands transfer.  On fabrics the per-resource
 treatment captures what the aggregate single-switch algebra cannot: leaf
 hotspots, spine dilution, and multi-hop probe paths.
 
+The products, the joint solve and the telemetry are
+:class:`~repro.engine.analytic.ClosedFormEngine`'s, shared with the
+analytic tier; this module keeps the fabric view, the per-resource load and
+the round-time bisection.
+
 Cost is O(resources) per solver iteration — independent of traffic volume
 and duration — so 512- and 1024-node campaigns finish in seconds where the
 DES would run for hours.  Everything is deterministic (no RNG; histogram
@@ -42,14 +47,12 @@ saturated switch or link instead of extrapolating.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .. import telemetry
 from ..config import MachineConfig
-from ..core.measurement import LatencyCollector
-from ..errors import AnalyticModelError, ExperimentError
+from ..errors import AnalyticModelError
 from ..queueing import (
     ServiceEstimate,
     pk_waiting_times,
@@ -57,13 +60,13 @@ from ..queueing import (
     utilization_from_sojourn,
 )
 from ..scenario import ResourceDemand, ScenarioSpec
-from ..workloads import CompressionB, ImpactB, Workload
+from ..workloads import Workload
 from ..workloads.traffic import TrafficSummary
-from .analytic import _MAX_SYNTH_SAMPLES, SwitchModel, _lognormal_histogram
-from .base import EngineCapabilities, ExperimentEngine, register_engine
+from .analytic import ClosedFormEngine, SwitchModel
+from .base import EngineCapabilities, register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.experiments.pipeline import ExperimentDescriptor, PipelineSettings
+    from ..core.experiments.pipeline import PipelineSettings
 
 __all__ = ["FluidEngine"]
 
@@ -92,34 +95,85 @@ class _FluidLoad:
         self.busy = np.zeros(resource_count)
         self.queue_share = np.zeros(resource_count)
         switches = len(demand.switch_bytes)
-        self.busy[:switches] = self._busy(
-            model, demand.switch_bytes, demand.switch_packets
-        )
+        self.busy[:switches] = model.busy(demand.switch_bytes, demand.switch_packets)
         total_packets = demand.total_packets
         if total_packets > 0:
             self.queue_share[:switches] = demand.delivered_packets / total_packets
         for name, nbytes in demand.link_bytes.items():
             index = link_index[name]
             npackets = demand.link_packets[name]
-            self.busy[index] = self._busy(model, nbytes, npackets)
+            self.busy[index] = model.busy(nbytes, npackets)
             if total_packets > 0:
                 self.queue_share[index] = npackets / total_packets
         # Every route is a switch chain, so links-per-packet == visits - 1;
         # both are the extra hops beyond the analytic single-switch path.
         self.extra_hops = demand.switch_visits_per_packet() - 1.0
 
-    @staticmethod
-    def _busy(model: SwitchModel, nbytes, npackets):
-        if model.size_dependent:
-            return nbytes / model.port_bandwidth + npackets * model.service_mean
-        return npackets * model.service_mean
-
     def rho(self, round_time: float, ports: np.ndarray) -> np.ndarray:
         """Own per-resource utilization at a given round time."""
         return self.busy / (round_time * ports)
 
 
-class FluidEngine(ExperimentEngine):
+class _FluidState:
+    """Per-descriptor fabric view: scenario spec + resource indexing.
+
+    Resource ids are switches ``0..S-1`` followed by directed links in
+    sorted-name order — the flat space every :class:`_FluidLoad` vector and
+    every utilization vector lives in.
+    """
+
+    def __init__(self, config: MachineConfig) -> None:
+        self.config = config
+        self.spec = ScenarioSpec.from_machine(config)
+        self.model = SwitchModel(config)
+        self.link_latency = config.network.link_latency
+        switches = self.spec.switch_count
+        names = self.spec.link_names()
+        self.link_index: Dict[str, int] = {
+            name: switches + offset for offset, name in enumerate(names)
+        }
+        self.resource_count = switches + len(names)
+        self.ports = np.ones(self.resource_count)
+        self.ports[:switches] = self.spec.switch_ports()
+        if self.model.size_dependent is False:
+            # Central-fabric mode: the denominator is the server pool.
+            self.ports[:switches] = self.model.ports
+        self._names = [
+            self.spec.topology.switch_name(i)
+            if hasattr(self.spec.topology, "switch_name")
+            else f"switch{i}"
+            for i in range(switches)
+        ] + list(names)
+
+    def resource_name(self, index: int) -> str:
+        return self._names[index]
+
+    def probe_queue_resources(self, route: Tuple[int, ...]) -> List[int]:
+        """Resource ids where a probe packet on ``route`` can queue.
+
+        Cross-leaf: the source leaf's uplink port, the spine's downlink
+        port (both link resources), then delivery at the destination leaf.
+        Same-leaf (and single switch): just the delivery port.  The spine
+        in the route is a representative — the uniform ECMP split loads
+        every spine equally, so any choice reads the same utilizations.
+        """
+        if len(route) == 1:
+            return [route[0]]
+        topology = self.spec.topology
+        resources: List[int] = []
+        for hop in range(len(route) - 1):
+            src, dst = route[hop], route[hop + 1]
+            name = f"{topology.switch_name(src)}->{topology.switch_name(dst)}"
+            resources.append(self.link_index[name])
+        resources.append(route[-1])
+        return resources
+
+
+def _max_abs(delta: np.ndarray) -> float:
+    return float(np.abs(delta).max())
+
+
+class FluidEngine(ClosedFormEngine):
     """Answers experiment descriptors from per-resource fluid fixed points.
 
     Shares the analytic tier's validity ceiling and bandwidth-share floor so
@@ -128,13 +182,9 @@ class FluidEngine(ExperimentEngine):
     """
 
     name = "fluid"
-    max_utilization = 0.95
-    min_bandwidth_share = 0.05
-    _bisection_steps = 60
-    _max_iterations = 500
-    _tolerance = 1e-12
-    _solve_count = 0
-    _iteration_count = 0
+    _state = _FluidState
+    #: A joint step's size: the largest change at any resource.
+    _norm = staticmethod(_max_abs)
 
     def capabilities(self) -> EngineCapabilities:
         """Any healthy fabric, any size: both topologies, no link faults.
@@ -152,54 +202,31 @@ class FluidEngine(ExperimentEngine):
         )
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Workload loads
     # ------------------------------------------------------------------
-    def run(self, descriptor: "ExperimentDescriptor") -> object:
-        # Same local-accumulate/flush-per-product pattern as the analytic
-        # engine: inner solves are hot, registry calls are not free.
-        self._solve_count = 0
-        self._iteration_count = 0
-        with telemetry.span(f"solve:{descriptor.kind}", "engine", engine=self.name):
-            result = self._dispatch(descriptor)
-        if telemetry.enabled():
-            registry = telemetry.registry()
-            registry.counter_inc(
-                "engine.products", kind=descriptor.kind, engine=self.name
-            )
-            if self._solve_count:
-                registry.counter_inc("engine.fluid.solves", float(self._solve_count))
-                registry.counter_inc(
-                    "engine.fluid.solve_iterations", float(self._iteration_count)
-                )
-        return result
+    @staticmethod
+    def _load(state: _FluidState, workload: Workload) -> _FluidLoad:
+        summary = workload.traffic(state.config)
+        matrix = state.spec.demand_matrix(
+            summary, workload.demand_weights(state.config)
+        )
+        return _FluidLoad(
+            state.model,
+            summary,
+            state.spec.fold(matrix),
+            state.link_index,
+            state.resource_count,
+        )
 
-    def _dispatch(self, descriptor: "ExperimentDescriptor") -> object:
-        settings = descriptor.settings
-        state = _FluidState(descriptor.machine_config)
-        if descriptor.kind == "calibration":
-            return self._calibration(state, settings)
-        if descriptor.kind == "impact":
-            return self._impact(state, settings, descriptor)
-        if descriptor.kind == "comp_sig":
-            return self._comp_sig(state, settings, descriptor)
-        if descriptor.kind == "baseline":
-            return self._baseline(state, descriptor.workload)
-        if descriptor.kind == "degradation":
-            comp = CompressionB(descriptor.comp_config)
-            return self._slowdown(
-                state, descriptor.workload, comp, descriptor.baseline
-            )
-        if descriptor.kind == "pair":
-            return self._slowdown(
-                state, descriptor.workload, descriptor.other, descriptor.baseline
-            )
-        raise ExperimentError(f"unknown descriptor kind {descriptor.kind!r}")
+    @staticmethod
+    def _summary(load: _FluidLoad) -> TrafficSummary:
+        return load.summary
 
     # ------------------------------------------------------------------
     # Fixed point
     # ------------------------------------------------------------------
     def _round_time(
-        self, state: "_FluidState", load: _FluidLoad, mean_packet: float
+        self, state: _FluidState, load: _FluidLoad, mean_packet: float
     ) -> Callable[[np.ndarray, np.ndarray], float]:
         """One workload's round time ``T(rho_total, rho_own)`` on the fabric.
 
@@ -249,7 +276,7 @@ class FluidEngine(ExperimentEngine):
 
     def _solve_round(
         self,
-        state: "_FluidState",
+        state: _FluidState,
         load: _FluidLoad,
         rho_external: np.ndarray,
         mean_packet: float,
@@ -307,127 +334,60 @@ class FluidEngine(ExperimentEngine):
         self._iteration_count += steps
         return 0.5 * (low + high)
 
+    def _best_response(self) -> Callable[..., np.ndarray]:
+        """Solving a workload's round time pins its whole utilization vector."""
+        solve_round = self._solve_round
+
+        def respond(state, load, rho_external, mean_packet, label):
+            period = solve_round(state, load, rho_external, mean_packet, label)
+            return load.rho(period, state.ports)
+
+        return respond
+
+    @staticmethod
+    def _zero(state: _FluidState) -> np.ndarray:
+        return np.zeros(state.resource_count)
+
     def _check_validity(
-        self, state: "_FluidState", rho_total: np.ndarray, label: str
+        self, state: _FluidState, rho_total: np.ndarray, label: str
     ) -> None:
+        """The ceiling applies at the most-loaded switch or link."""
         worst = int(np.argmax(rho_total))
-        if rho_total[worst] >= self.max_utilization:
-            raise AnalyticModelError(
-                f"fluid model out of validity range for {label!r}: "
-                f"utilization {rho_total[worst]:.3f} at "
-                f"{state.resource_name(worst)} >= {self.max_utilization} "
-                "(Poisson/steady-state assumptions break down; "
-                "use --engine sim for this experiment)"
-            )
+        super()._check_validity(
+            state, rho_total[worst], label, f" at {state.resource_name(worst)}"
+        )
 
     def _solve(
         self,
-        state: "_FluidState",
+        state: _FluidState,
         load: _FluidLoad,
         mean_packet: float,
         label: str,
     ) -> Tuple[float, np.ndarray]:
         """``(round_time, rho_vector)`` equilibrium of one lone workload."""
-        zero = np.zeros(state.resource_count)
-        period = self._solve_round(state, load, zero, mean_packet, label)
+        period = self._solve_round(
+            state, load, self._zero(state), mean_packet, label
+        )
         rho = load.rho(period, state.ports)
         self._check_validity(state, rho, label)
         return period, rho
 
-    def _solve_joint(
+    def _interfered_round_time(
         self,
-        state: "_FluidState",
-        first: _FluidLoad,
-        second: _FluidLoad,
+        state: _FluidState,
+        load: _FluidLoad,
+        rho_measured: np.ndarray,
+        rho_other: np.ndarray,
         mean_packet: float,
-        first_label: str,
-        second_label: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Coupled equilibrium ``(rho_first, rho_second)`` vectors.
-
-        Damped Gauss–Seidel over the two best-response curves, exactly the
-        analytic engine's scheme lifted from scalars to per-resource
-        vectors (each workload's vector is ``busy/(T·ports)``, so solving
-        its round time pins the whole vector).
-        """
-        rho_first = np.zeros(state.resource_count)
-        rho_second = np.zeros(state.resource_count)
-        for iteration in range(1, self._max_iterations + 1):
-            period_first = self._solve_round(
-                state, first, rho_second, mean_packet, first_label
-            )
-            next_first = first.rho(period_first, state.ports)
-            period_second = self._solve_round(
-                state, second, next_first, mean_packet, second_label
-            )
-            next_second = second.rho(period_second, state.ports)
-            residual = max(
-                float(np.abs(next_first - rho_first).max()),
-                float(np.abs(next_second - rho_second).max()),
-            )
-            if residual <= self._tolerance:
-                rho_first, rho_second = next_first, next_second
-                if telemetry.enabled():
-                    registry = telemetry.registry()
-                    registry.counter_inc("engine.fluid.joint_solves")
-                    registry.counter_inc(
-                        "engine.fluid.joint_iterations", float(iteration)
-                    )
-                    registry.observe("engine.fluid.joint_residual", residual)
-                break
-            rho_first = 0.5 * (rho_first + next_first)
-            rho_second = 0.5 * (rho_second + next_second)
-        else:
-            raise AnalyticModelError(
-                f"fluid joint equilibrium for {first_label!r} + "
-                f"{second_label!r} did not converge"
-            )
-        self._check_validity(
-            state, rho_first + rho_second, f"{first_label} + {second_label}"
-        )
-        return rho_first, rho_second
-
-    # ------------------------------------------------------------------
-    # Workload loads
-    # ------------------------------------------------------------------
-    def _load(self, state: "_FluidState", workload: Workload) -> _FluidLoad:
-        summary = workload.traffic(state.config)
-        matrix = state.spec.demand_matrix(
-            summary, workload.demand_weights(state.config)
-        )
-        return _FluidLoad(
-            state.model,
-            summary,
-            state.spec.fold(matrix),
-            state.link_index,
-            state.resource_count,
-        )
-
-    def _probe_load(
-        self, state: "_FluidState", settings: "PipelineSettings"
-    ) -> _FluidLoad:
-        probe = ImpactB(LatencyCollector(), interval=settings.probe_interval)
-        return self._load(state, probe)
-
-    @staticmethod
-    def _mean_packet(loads: Sequence[_FluidLoad]) -> float:
-        packets = sum(load.summary.packets for load in loads)
-        if packets <= 0:
-            return 0.0
-        return sum(load.summary.bytes for load in loads) / packets
+    ) -> float:
+        round_time = self._round_time(state, load, mean_packet)
+        return round_time(rho_measured + rho_other, rho_measured)
 
     # ------------------------------------------------------------------
     # Products
     # ------------------------------------------------------------------
-    def _probe_count(
-        self, settings: "PipelineSettings", config: MachineConfig, duration: float
-    ) -> int:
-        pairs = (config.node_count // 2) * config.node.sockets
-        expected = 0.9 * duration / settings.probe_interval * max(1, pairs)
-        return max(2, min(_MAX_SYNTH_SAMPLES, int(expected)))
-
     def _calibration(
-        self, state: "_FluidState", settings: "PipelineSettings"
+        self, state: _FluidState, settings: "PipelineSettings"
     ) -> dict:
         """Idle probe-path estimate, averaged over the probe's pair paths.
 
@@ -465,9 +425,8 @@ class FluidEngine(ExperimentEngine):
             mean=mean, variance=variance, minimum=minimum, sample_count=count
         ).to_dict()
 
-    def _probe_utilization(
-        self, state: "_FluidState", rho_total: np.ndarray
-    ) -> float:
+    @staticmethod
+    def _probe_utilization(state: _FluidState, rho_total: np.ndarray) -> float:
         """Congestion the probe population samples, as one utilization.
 
         Each probe pair's path is a series of queueing resources (uplink
@@ -494,196 +453,9 @@ class FluidEngine(ExperimentEngine):
             return 0.0
         return utilization_from_sojourn(weighted / total, rate, variance)
 
-    def _signature(
-        self,
-        state: "_FluidState",
-        settings: "PipelineSettings",
-        calibration: Optional[dict],
-        rho: float,
-        duration: float,
-    ) -> dict:
-        if calibration is None:
-            raise AnalyticModelError(
-                "fluid signatures need a calibration estimate in the descriptor"
-            )
-        estimate = ServiceEstimate.from_dict(calibration)
-        mean = sojourn_from_utilization(rho, estimate.rate, estimate.variance)
-        std = math.sqrt(max(estimate.variance, 1e-18)) / (1.0 - rho)
-        count = self._probe_count(settings, state.config, duration)
-        histogram = _lognormal_histogram(mean, std, count)
-        return {
-            "mean": mean,
-            "std": std,
-            "count": count,
-            "utilization": rho,
-            "histogram": histogram.to_dict(),
-        }
-
-    def _impact(
-        self,
-        state: "_FluidState",
-        settings: "PipelineSettings",
-        descriptor: "ExperimentDescriptor",
-    ) -> dict:
-        probe = self._probe_load(state, settings)
-        workload = descriptor.workload
-        if workload is None:
-            _period, rho_total = self._solve(
-                state, probe, self._mean_packet([probe]), "impactb"
-            )
-        else:
-            app = self._load(state, workload)
-            rho_probe, rho_app = self._solve_joint(
-                state,
-                probe,
-                app,
-                self._mean_packet([probe, app]),
-                "impactb",
-                workload.name,
-            )
-            rho_total = rho_probe + rho_app
-        return {
-            "signature": self._signature(
-                state,
-                settings,
-                descriptor.calibration,
-                self._probe_utilization(state, rho_total),
-                settings.impact_duration,
-            ),
-            # Sim parity: the simulator reports switch 0 (the single switch,
-            # or leaf0 on fabrics).
-            "true_utilization": float(rho_total[0]),
-            "sim_time": settings.impact_duration,
-        }
-
-    def _comp_sig(
-        self,
-        state: "_FluidState",
-        settings: "PipelineSettings",
-        descriptor: "ExperimentDescriptor",
-    ) -> dict:
-        comp_config = descriptor.comp_config
-        workload = CompressionB(comp_config)
-        probe = self._probe_load(state, settings)
-        comp = self._load(state, workload)
-        rho_probe, rho_comp = self._solve_joint(
-            state,
-            probe,
-            comp,
-            self._mean_packet([probe, comp]),
-            "impactb",
-            comp_config.label,
-        )
-        rho_total = rho_probe + rho_comp
-        return {
-            "partners": comp_config.partners,
-            "messages": comp_config.messages,
-            "sleep_cycles": comp_config.sleep_cycles,
-            "message_bytes": comp_config.message_bytes,
-            "impact": {
-                "signature": self._signature(
-                    state,
-                    settings,
-                    descriptor.calibration,
-                    self._probe_utilization(state, rho_total),
-                    settings.signature_duration,
-                ),
-                "true_utilization": float(rho_total[0]),
-                "sim_time": settings.signature_duration,
-            },
-        }
-
-    def _baseline(
-        self, state: "_FluidState", workload: Optional[Workload]
-    ) -> float:
-        if workload is None:
-            raise ExperimentError("baseline descriptors need a workload")
-        load = self._load(state, workload)
-        period, _rho = self._solve(
-            state, load, self._mean_packet([load]), workload.name
-        )
-        return load.summary.rounds * period
-
-    def _slowdown(
-        self,
-        state: "_FluidState",
-        measured: Optional[Workload],
-        other: Optional[Workload],
-        baseline: Optional[float],
-    ) -> float:
-        if measured is None or other is None:
-            raise ExperimentError("slowdown descriptors need both workloads")
-        if baseline is None or baseline <= 0:
-            raise ExperimentError(
-                f"slowdown for {measured.name!r} needs a positive baseline"
-            )
-        measured_load = self._load(state, measured)
-        other_load = self._load(state, other)
-        mean_packet = self._mean_packet([measured_load, other_load])
-        rho_measured, rho_other = self._solve_joint(
-            state, measured_load, other_load, mean_packet,
-            measured.name, other.name,
-        )
-        period = self._round_time(state, measured_load, mean_packet)(
-            rho_measured + rho_other, rho_measured
-        )
-        interfered = measured_load.summary.rounds * period
-        return 100.0 * (interfered - baseline) / baseline
-
-
-class _FluidState:
-    """Per-descriptor fabric view: scenario spec + resource indexing.
-
-    Resource ids are switches ``0..S-1`` followed by directed links in
-    sorted-name order — the flat space every :class:`_FluidLoad` vector and
-    every utilization vector lives in.
-    """
-
-    def __init__(self, config: MachineConfig) -> None:
-        self.config = config
-        self.spec = ScenarioSpec.from_machine(config)
-        self.model = SwitchModel(config)
-        self.link_latency = config.network.link_latency
-        switches = self.spec.switch_count
-        names = self.spec.link_names()
-        self.link_index: Dict[str, int] = {
-            name: switches + offset for offset, name in enumerate(names)
-        }
-        self.resource_count = switches + len(names)
-        self.ports = np.ones(self.resource_count)
-        self.ports[:switches] = self.spec.switch_ports()
-        if self.model.size_dependent is False:
-            # Central-fabric mode: the denominator is the server pool.
-            self.ports[:switches] = self.model.ports
-        self._names = [
-            self.spec.topology.switch_name(i)
-            if hasattr(self.spec.topology, "switch_name")
-            else f"switch{i}"
-            for i in range(switches)
-        ] + list(names)
-
-    def resource_name(self, index: int) -> str:
-        return self._names[index]
-
-    def probe_queue_resources(self, route: Tuple[int, ...]) -> List[int]:
-        """Resource ids where a probe packet on ``route`` can queue.
-
-        Cross-leaf: the source leaf's uplink port, the spine's downlink
-        port (both link resources), then delivery at the destination leaf.
-        Same-leaf (and single switch): just the delivery port.  The spine
-        in the route is a representative — the uniform ECMP split loads
-        every spine equally, so any choice reads the same utilizations.
-        """
-        if len(route) == 1:
-            return [route[0]]
-        topology = self.spec.topology
-        resources: List[int] = []
-        for hop in range(len(route) - 1):
-            src, dst = route[hop], route[hop + 1]
-            name = f"{topology.switch_name(src)}->{topology.switch_name(dst)}"
-            resources.append(self.link_index[name])
-        resources.append(route[-1])
-        return resources
+    @staticmethod
+    def _switch_utilization(rho_total: np.ndarray) -> float:
+        return float(rho_total[0])
 
 
 register_engine("fluid", FluidEngine)
