@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .network.topology import LeafSpineTopology, Topology
+from .network.topology import LeafSpineTopology, SingleSwitchTopology, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import MachineConfig
@@ -267,8 +267,10 @@ class ScenarioSpec:
         """Fold a demand matrix onto switches and directed links.
 
         Leaf-spine fabrics take a closed-form path (block sums over leaves,
-        cross-leaf demand split 1/S per spine — the long-run ECMP split);
-        anything else walks :meth:`Topology.equal_cost_routes` pair by pair.
+        cross-leaf demand split 1/S per spine — the long-run ECMP split).
+        A single switch takes the same path as one leaf holding every node
+        with no spines, so it folds bit-identically to the one-leaf fabric.
+        Anything else walks :meth:`Topology.equal_cost_routes` pair by pair.
         :meth:`fold_reference` always walks routes, and the two are
         property-tested to agree.
         """
@@ -279,23 +281,27 @@ class ScenarioSpec:
             )
         topology = self.topology
         if isinstance(topology, LeafSpineTopology):
-            return self._fold_leaf_spine(topology, matrix)
+            return self._fold_blocks(
+                matrix,
+                topology.leaf_count,
+                topology.nodes_per_leaf,
+                topology.spine_count,
+            )
+        if isinstance(topology, SingleSwitchTopology):
+            return self._fold_blocks(matrix, 1, self.node_count, 0)
         return self.fold_reference(matrix)
 
-    def _fold_leaf_spine(
-        self, topology: LeafSpineTopology, matrix: DemandMatrix
+    def _fold_blocks(
+        self, matrix: DemandMatrix, leaves: int, npl: int, spines: int
     ) -> ResourceDemand:
-        leaves = topology.leaf_count
-        npl = topology.nodes_per_leaf
-        spines = topology.spine_count
         # Node attachment is contiguous (node // nodes_per_leaf), so the
         # leaf×leaf aggregate is a block sum.
         leaf_bytes = matrix.bytes_.reshape(leaves, npl, leaves, npl).sum(axis=(1, 3))
         leaf_packets = matrix.packets.reshape(leaves, npl, leaves, npl).sum(axis=(1, 3))
 
-        switch_bytes = np.zeros(topology.switch_count)
-        switch_packets = np.zeros(topology.switch_count)
-        delivered = np.zeros(topology.switch_count)
+        switch_bytes = np.zeros(leaves + spines)
+        switch_packets = np.zeros(leaves + spines)
+        delivered = np.zeros(leaves + spines)
         row_b, col_b = leaf_bytes.sum(axis=1), leaf_bytes.sum(axis=0)
         row_p, col_p = leaf_packets.sum(axis=1), leaf_packets.sum(axis=0)
         diag_b, diag_p = np.diag(leaf_bytes), np.diag(leaf_packets)
@@ -305,21 +311,22 @@ class ScenarioSpec:
         switch_bytes[:leaves] = row_b + col_b - diag_b
         switch_packets[:leaves] = row_p + col_p - diag_p
         delivered[:leaves] = col_p
-        cross_b = float(leaf_bytes.sum() - diag_b.sum())
-        cross_p = float(leaf_packets.sum() - diag_p.sum())
-        switch_bytes[leaves:] = cross_b / spines
-        switch_packets[leaves:] = cross_p / spines
 
         link_bytes: Dict[str, float] = {}
         link_packets: Dict[str, float] = {}
-        up_b, up_p = (row_b - diag_b) / spines, (row_p - diag_p) / spines
-        down_b, down_p = (col_b - diag_b) / spines, (col_p - diag_p) / spines
-        for leaf in range(leaves):
-            for spine in range(spines):
-                link_bytes[f"leaf{leaf}->spine{spine}"] = float(up_b[leaf])
-                link_packets[f"leaf{leaf}->spine{spine}"] = float(up_p[leaf])
-                link_bytes[f"spine{spine}->leaf{leaf}"] = float(down_b[leaf])
-                link_packets[f"spine{spine}->leaf{leaf}"] = float(down_p[leaf])
+        if spines:
+            cross_b = float(leaf_bytes.sum() - diag_b.sum())
+            cross_p = float(leaf_packets.sum() - diag_p.sum())
+            switch_bytes[leaves:] = cross_b / spines
+            switch_packets[leaves:] = cross_p / spines
+            up_b, up_p = (row_b - diag_b) / spines, (row_p - diag_p) / spines
+            down_b, down_p = (col_b - diag_b) / spines, (col_p - diag_p) / spines
+            for leaf in range(leaves):
+                for spine in range(spines):
+                    link_bytes[f"leaf{leaf}->spine{spine}"] = float(up_b[leaf])
+                    link_packets[f"leaf{leaf}->spine{spine}"] = float(up_p[leaf])
+                    link_bytes[f"spine{spine}->leaf{leaf}"] = float(down_b[leaf])
+                    link_packets[f"spine{spine}->leaf{leaf}"] = float(down_p[leaf])
         return ResourceDemand(
             switch_bytes=switch_bytes,
             switch_packets=switch_packets,
@@ -334,8 +341,9 @@ class ScenarioSpec:
         """Route-by-route folding over ``equal_cost_routes`` (the definition).
 
         O(n²·routes) — use :meth:`fold` in production; this exists as the
-        oracle the leaf-spine fast path is verified against, and as the
-        fallback for custom topologies without a closed form.
+        oracle the block-sum fast path (leaf-spine fabrics and the single
+        switch) is verified against, and as the fallback for custom
+        topologies without a closed form.
         """
         topology = self.topology
         switch_bytes = np.zeros(topology.switch_count)

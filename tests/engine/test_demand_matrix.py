@@ -152,6 +152,28 @@ def test_fold_fast_path_matches_reference(case):
         )
 
 
+@settings(max_examples=50, deadline=None)
+@given(fabric_demand())
+def test_single_switch_folds_as_a_one_leaf_fabric(case):
+    leaves, npl, spines, weights = case
+    if weights.sum() == 0.0:
+        return
+    nodes = leaves * npl
+    single = ScenarioSpec.from_machine(small_test_config(seed=0, node_count=nodes))
+    one_leaf = _spec(1, nodes, spines)
+    fast = single.fold(single.demand_matrix(_summary(), weights))
+    reference = single.fold_reference(single.demand_matrix(_summary(), weights))
+    leaf = one_leaf.fold(one_leaf.demand_matrix(_summary(), weights))
+    np.testing.assert_allclose(fast.switch_bytes, reference.switch_bytes, rtol=1e-9)
+    np.testing.assert_allclose(fast.switch_packets, reference.switch_packets, rtol=1e-9)
+    assert fast.link_packets == reference.link_packets == {}
+    # Bit for bit the one-leaf fabric's leaf, whose spines carry nothing.
+    assert fast.switch_bytes.tolist() == leaf.switch_bytes[:1].tolist()
+    assert fast.switch_packets.tolist() == leaf.switch_packets[:1].tolist()
+    assert fast.delivered_packets.tolist() == leaf.delivered_packets[:1].tolist()
+    assert fast.switch_visits_per_packet() == leaf.switch_visits_per_packet()
+
+
 # ----------------------------------------------------------------------
 # Permutation invariance
 # ----------------------------------------------------------------------

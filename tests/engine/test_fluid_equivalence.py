@@ -34,7 +34,7 @@ from repro.core.experiments import (
 from repro.core.experiments.pipeline import run_experiment
 from repro.errors import AnalyticModelError
 from repro.units import MS
-from repro.workloads import FFTW, CompressionConfig
+from repro.workloads import FFTW, MCB, CompressionConfig
 
 SETTINGS = PipelineSettings(
     profile="quick",
@@ -159,27 +159,59 @@ def test_fluid_within_sim_bands(sim_name, fluid_name, request):
 # ----------------------------------------------------------------------
 # Degenerate fabric: bit identity with the single switch
 # ----------------------------------------------------------------------
-def _product(kind, machine_config):
-    settings = replace(SETTINGS, engine="fluid")
-    calibration = None
-    if kind != "calibration":
-        calibration = run_experiment(
-            ExperimentDescriptor(
-                key="calibration/fluid-equiv",
-                kind="calibration",
-                settings=settings,
-                machine_config=machine_config,
-            )
-        )
+WORKLOADS = {
+    "fftw": lambda: FFTW(iterations=1, pack_compute=5e-5),
+    "mcb": lambda: MCB(),
+}
+OTHER = {"fftw": "mcb", "mcb": "fftw"}
+CATALOG_CONFIG = CompressionConfig(1, 1, 2.5e6)
+# A quick campaign's own settings: its 0.25 ms probe interval is one under
+# which a route-by-route fold and a block sum disagree in the last bit.
+CAMPAIGN_SETTINGS = PipelineSettings(profile="quick", seed=0, engine="fluid")
+
+
+def _run(machine_config, kind, **fields):
     return run_experiment(
         ExperimentDescriptor(
             key=f"{kind}/fluid-equiv",
             kind=kind,
-            settings=settings,
+            settings=CAMPAIGN_SETTINGS,
             machine_config=machine_config,
-            workload=FFTW(iterations=1, pack_compute=5e-5),
-            calibration=calibration,
+            **fields,
         )
+    )
+
+
+def _product(kind, app, machine_config):
+    """One product of ``kind`` for ``app``, with its inputs computed first."""
+    if kind == "calibration":
+        return _run(machine_config, kind)
+    if kind in ("impact", "comp_sig"):
+        calibration = _run(machine_config, "calibration")
+        if kind == "comp_sig":
+            return _run(
+                machine_config, kind, comp_config=CATALOG_CONFIG, calibration=calibration
+            )
+        return _run(
+            machine_config, kind, workload=WORKLOADS[app](), calibration=calibration
+        )
+    baseline = _run(machine_config, "baseline", workload=WORKLOADS[app]())
+    if kind == "baseline":
+        return baseline
+    if kind == "degradation":
+        return _run(
+            machine_config,
+            kind,
+            workload=WORKLOADS[app](),
+            comp_config=CATALOG_CONFIG,
+            baseline=baseline,
+        )
+    return _run(
+        machine_config,
+        kind,
+        workload=WORKLOADS[app](),
+        other=WORKLOADS[OTHER[app]](),
+        baseline=baseline,
     )
 
 
@@ -187,12 +219,16 @@ def _canonical(product):
     return json.dumps(product, sort_keys=True, default=str)
 
 
-@pytest.mark.parametrize("kind", ["calibration", "impact"])
-def test_degenerate_fabric_is_bit_identical_to_single_switch(kind):
-    single = _canonical(_product(kind, small_test_config(seed=0)))
+@pytest.mark.parametrize("app", sorted(WORKLOADS))
+@pytest.mark.parametrize(
+    "kind", ["calibration", "impact", "comp_sig", "baseline", "degradation", "pair"]
+)
+def test_degenerate_fabric_is_bit_identical_to_single_switch(kind, app):
+    single = _canonical(_product(kind, app, small_test_config(seed=0)))
     degenerate = _canonical(
         _product(
             kind,
+            app,
             replace(
                 small_test_config(seed=0),
                 topology=TopologyConfig(
