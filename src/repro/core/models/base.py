@@ -20,9 +20,10 @@ smallest label (the first column of the sorted table).
 
 Fitting also precomputes the vectorized state every model scores against
 (mean vector, µ±σ interval arrays, the bins×configs histogram-fraction
-matrix, the apps×configs degradation matrix), so ``predict`` never rebuilds
-per-catalog structures per call and ``predict_batch`` can answer many
-(app, signature) queries with a handful of numpy operations.
+matrix, the apps×configs degradation matrix), so ``predict_batch`` never
+rebuilds per-catalog structures per call and can answer many
+(app, signature) queries with a handful of numpy operations.  A scalar
+``predict`` is a one-row batch.
 """
 
 from __future__ import annotations
@@ -178,22 +179,22 @@ class SlowdownModel(ABC):
             raise ModelError(f"{self.name} has not been fitted")
         return self._table
 
-    @abstractmethod
     def predict(self, app: str, other_signature: ProbeSignature) -> float:
         """Predict % slowdown of ``app`` co-running with a workload whose
-        impact signature is ``other_signature``."""
+        impact signature is ``other_signature``: a one-row
+        :meth:`predict_batch`, so scalar and batch predictions are equal by
+        construction."""
+        return self.predict_batch([(app, other_signature)])[0]
 
+    @abstractmethod
     def predict_batch(
         self, pairs: Sequence[Tuple[str, ProbeSignature]]
     ) -> List[float]:
-        """Predict many (app, co-runner signature) queries.
+        """Predict many (app, co-runner signature) queries, in order.
 
-        The base implementation simply loops :meth:`predict`; the paper's
-        four models override it with vectorized scoring that shares the
-        exact same match computation as the scalar path, so batch and
-        scalar predictions are numerically identical.
+        Models score each distinct signature once and answer every app
+        that asked about it from that score.
         """
-        return [self.predict(app, signature) for app, signature in pairs]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fitted" if self._table is not None else "unfitted"

@@ -15,9 +15,9 @@ signature to a catalog column of the canonical :class:`FittedTable`; the
 prediction is then a single element read of the apps×configs degradation
 matrix.  Scores are computed as vector operations over the table's
 precomputed state, ties resolve to the first (lowest-label) column, and
-``predict_batch`` reuses the identical match computation per distinct
-signature — so batch output is bit-identical to the scalar path and
-independent of catalog iteration order.
+``predict_batch`` computes the match once per distinct signature — so
+output is independent of catalog iteration order, and a scalar
+``predict`` (a one-row batch) equals the batch by construction.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ class _CatalogMatchModel(SlowdownModel):
     def _match_index(self, other_signature: ProbeSignature) -> int:
         """Catalog column this model matches ``other_signature`` to."""
         raise NotImplementedError
-
-    def predict(self, app: str, other_signature: ProbeSignature) -> float:
-        table = self.table
-        return float(
-            table.deg_matrix[table.app_row(app), self._match_index(other_signature)]
-        )
 
     def predict_batch(
         self, pairs: Sequence[Tuple[str, ProbeSignature]]

@@ -22,7 +22,7 @@ AMG it avoids attributing the busy-phase latency to the entire run.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -112,25 +112,45 @@ class PhaseAwareQueueModel(QueueModel):
         super().__init__(interpolate=interpolate)
         self.calibration = calibration
 
-    def predict(self, app: str, other_signature: ProbeSignature) -> float:
-        phases = split_phases(other_signature.histogram)
+    def _phases(self, signature: ProbeSignature) -> List[Tuple[float, float]]:
+        """``signature``'s phases as ``(mass fraction, utilization)`` pairs."""
+        phases = split_phases(signature.histogram)
         # Bin centers quantize the phase means; rescale so their weighted
         # mean equals the signature's exact sample mean (for a unimodal
         # co-runner this makes the model coincide with the plain queue
         # model exactly).
         weighted = sum(weight * mean for weight, mean in phases)
         if weighted > 0:
-            correction = other_signature.mean / weighted
+            correction = signature.mean / weighted
             phases = [(weight, mean * correction) for weight, mean in phases]
-        xs, ys = self._curve(app)
-        prediction = 0.0
-        for weight, phase_mean in phases:
-            utilization = utilization_from_sojourn(
-                phase_mean, self.calibration.rate, self.calibration.variance
+        return [
+            (
+                weight,
+                utilization_from_sojourn(
+                    phase_mean, self.calibration.rate, self.calibration.variance
+                ),
             )
-            if self.interpolate:
-                value = float(np.interp(utilization, xs, ys))
-            else:
-                value = float(ys[self._nearest_column(utilization)])
-            prediction += weight * value
-        return prediction
+            for weight, phase_mean in phases
+        ]
+
+    def predict_batch(
+        self, pairs: Sequence[Tuple[str, ProbeSignature]]
+    ) -> List[float]:
+        table = self.table
+        split: Dict[int, List[Tuple[float, float]]] = {}
+        predictions = []
+        for app, signature in pairs:
+            ys = self._ys[table.app_row(app)]
+            phases = split.get(id(signature))
+            if phases is None:
+                phases = self._phases(signature)
+                split[id(signature)] = phases
+            prediction = 0.0
+            for weight, utilization in phases:
+                if self.interpolate:
+                    value = float(np.interp(utilization, self._xs, ys))
+                else:
+                    value = float(ys[self._nearest_column(utilization)])
+                prediction += weight * value
+            predictions.append(prediction)
+        return predictions

@@ -65,10 +65,6 @@ class QueueModel(SlowdownModel):
         self._xs = table.utilizations[order]
         self._ys = table.deg_matrix[:, order]
 
-    def _curve(self, app: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``app``'s (utilizations, degradations) arrays, utilization-sorted."""
-        return self._xs, self._ys[self.table.app_row(app)]
-
     def _target_of(self, other_signature: ProbeSignature) -> float:
         target = other_signature.utilization
         if math.isnan(target):
@@ -83,16 +79,6 @@ class QueueModel(SlowdownModel):
         the canonically sorted curve.
         """
         return int(np.argmin(np.abs(self._xs - target)))
-
-    def predict(self, app: str, other_signature: ProbeSignature) -> float:
-        target = self._target_of(other_signature)
-        xs, ys = self._curve(app)
-        if not self.interpolate:
-            return float(ys[self._nearest_column(target)])
-        # np.interp clamps outside the measured range, which is what we want:
-        # a co-runner lighter than the lightest config predicts that config's
-        # degradation rather than extrapolating to negative slowdowns.
-        return float(np.interp(target, xs, ys))
 
     def predict_batch(
         self, pairs: Sequence[Tuple[str, ProbeSignature]]
@@ -121,6 +107,10 @@ class QueueModel(SlowdownModel):
             by_row: Dict[int, List[int]] = {}
             for index, row in enumerate(rows):
                 by_row.setdefault(int(row), []).append(index)
+            # np.interp clamps outside the measured range, which is what we
+            # want: a co-runner lighter than the lightest config predicts
+            # that config's degradation rather than extrapolating to
+            # negative slowdowns.
             for row, indices in by_row.items():
                 out[indices] = np.interp(targets[indices], self._xs, self._ys[row])
         return [float(value) for value in out]

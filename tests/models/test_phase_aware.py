@@ -6,7 +6,12 @@ import pytest
 from repro.core.experiments import CompressionObservation
 from repro.core.experiments.impact import ImpactResult
 from repro.core.measurement import LatencyHistogram, ProbeSignature, paper_bin_edges
-from repro.core.models import PhaseAwareQueueModel, QueueModel, split_phases
+from repro.core.models import (
+    PhaseAwareQueueModel,
+    PredictionEngine,
+    QueueModel,
+    split_phases,
+)
 from repro.queueing import ServiceEstimate, sojourn_from_utilization
 from repro.workloads import CompressionConfig
 
@@ -126,6 +131,32 @@ def test_phasing_corunner_predicted_lower_than_mean_based(fitted_pair):
     # And the phase-aware value approximates the true weighted combination.
     expected = 0.8 * 2.0 + 0.2 * 200.0  # ~41.6 using the fitted curve ends
     assert aware_prediction == pytest.approx(expected, rel=0.5)
+
+
+def test_batch_predicts_phases_like_the_scalar_path(fitted_pair):
+    """A bimodal co-runner: the batch path and the prediction engine must
+    split it into phases too, not fall back to the plain queue model."""
+    plain, aware = fitted_pair
+    rng = np.random.default_rng(8)
+    bimodal = _signature(
+        np.concatenate(
+            [
+                _samples_at_utilization(0.05, 500, rng),
+                _samples_at_utilization(0.85, 500, rng),
+            ]
+        )
+    )
+    scalar = aware.predict("app", bimodal)
+    assert scalar != pytest.approx(plain.predict("app", bimodal), rel=0.05)
+    assert aware.predict_batch([("app", bimodal)] * 3) == [scalar] * 3
+    engine = PredictionEngine(
+        aware.table.observations,
+        aware.table.degradations,
+        {"bimodal": bimodal},
+        models=[PhaseAwareQueueModel(CAL)],
+    )
+    [batched] = engine.predict_batch([("app", "bimodal", "PhaseAwareQueue")])
+    assert batched.predicted == scalar
 
 
 def test_nearest_mode_supported(fitted_pair):

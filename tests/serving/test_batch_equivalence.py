@@ -14,12 +14,13 @@ from repro.core.models import (
     AverageLT,
     AverageStDevLT,
     PDFLT,
+    PhaseAwareQueueModel,
     PredictionEngine,
     QueueModel,
     default_models,
 )
 
-from .conftest import make_catalog, make_signature
+from .conftest import CAL, make_catalog, make_signature
 
 MODEL_FACTORIES = [
     AverageLT,
@@ -27,6 +28,8 @@ MODEL_FACTORIES = [
     PDFLT,
     QueueModel,
     lambda: QueueModel(interpolate=False),
+    lambda: PhaseAwareQueueModel(CAL),
+    lambda: PhaseAwareQueueModel(CAL, interpolate=False),
 ]
 
 
