@@ -335,8 +335,8 @@ class ClosedFormEngine(ExperimentEngine):
         settings: "PipelineSettings",
         calibration: Optional[dict],
         duration: float,
-        workload: Optional[Workload] = None,
-        label: str = "",
+        workload: Optional[Workload],
+        label: str,
     ) -> dict:
         """The probe's impact product, alone or beside ``workload``."""
         probe = self._probe_load(state, settings)

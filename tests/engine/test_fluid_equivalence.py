@@ -2,10 +2,11 @@
 
 The fluid engine earns its place in the tier ladder with three promises:
 
-1. **Single switch = analytic, exactly.**  On the paper's single-switch
-   scenario the fluid fixed point must reduce to the closed-form M/G/1
-   answer — same formulas through the same float operations — so the two
-   tiers agree to solver precision (~1e-12), not just to a band.
+1. **Single switch = analytic, to solver precision.**  On the paper's
+   single-switch scenario the fluid fixed point must reduce to the
+   closed-form M/G/1 answer — the same formulas — so the two tiers agree to
+   solver precision (~1e-12), not just to a band, and the calibration is
+   byte-identical.
 2. **Within the sim bands.**  Wherever the packet engine overlaps (the
    18-node class of machines, small healthy fabrics), fluid predictions
    must sit inside the same tolerance bands the analytic engine is held to
@@ -16,7 +17,7 @@ The fluid engine earns its place in the tier ladder with three promises:
 
 Plus the degenerate-fabric guarantee shared with the other engines: a
 1-leaf fabric is the same physical system as the single switch and must
-produce bit-identical fluid products.
+produce bit-identical fluid products of every kind.
 """
 
 import json
