@@ -123,28 +123,24 @@ class PhaseAwareQueueModel(QueueModel):
         if weighted > 0:
             correction = signature.mean / weighted
             phases = [(weight, mean * correction) for weight, mean in phases]
+        rate, variance = self.calibration.rate, self.calibration.variance
         return [
-            (
-                weight,
-                utilization_from_sojourn(
-                    phase_mean, self.calibration.rate, self.calibration.variance
-                ),
-            )
-            for weight, phase_mean in phases
+            (weight, utilization_from_sojourn(mean, rate, variance))
+            for weight, mean in phases
         ]
 
     def predict_batch(
         self, pairs: Sequence[Tuple[str, ProbeSignature]]
     ) -> List[float]:
         table = self.table
-        split: Dict[int, List[Tuple[float, float]]] = {}
+        seen: Dict[int, List[Tuple[float, float]]] = {}
         predictions = []
         for app, signature in pairs:
             ys = self._ys[table.app_row(app)]
-            phases = split.get(id(signature))
+            phases = seen.get(id(signature))
             if phases is None:
                 phases = self._phases(signature)
-                split[id(signature)] = phases
+                seen[id(signature)] = phases
             prediction = 0.0
             for weight, utilization in phases:
                 if self.interpolate:

@@ -441,10 +441,11 @@ class AnalyticEngine(ClosedFormEngine):
 
     Each product costs one small fixed-point solve instead of millions of
     simulated events: the harness's ``analytic-paper`` workload (a cold
-    330-product paper campaign) runs at about 440 products per second at
-    reference speed (``python3 benchmarks/harness/bench.py run --workload
-    analytic-paper``).  Use it for sweeps, sanity checks, and CI smoke; use
-    the ``sim`` engine when packet-level fidelity matters.
+    330-product paper campaign) runs at 482 products per second at
+    reference speed, median of seeds 0–9 (``python3
+    benchmarks/harness/bench.py run --workload analytic-paper``).  Use it
+    for sweeps, sanity checks, and CI smoke; use the ``sim`` engine when
+    packet-level fidelity matters.
     """
 
     name = "analytic"
