@@ -217,13 +217,20 @@ def alltoall(comm: Comm, values: Optional[List[Any]], nbytes_per_pair: int):
         raise MPIError(f"alltoall needs {size} values, got {len(values)}")
     results: List[Any] = [None] * size
     results[comm.rank] = values[comm.rank] if values is not None else None
+    # Untraced, each step waits on the join itself: the same heap entries
+    # as waitall, without its generator and result list.  A traced world
+    # keeps waitall, which records the wait interval.
+    all_of = comm.sim.all_of if comm.world.tracer is None else None
     for step in range(1, size):
         dest = (comm.rank + step) % size
         source = (comm.rank - step) % size
         payload = values[dest] if values is not None else None
         recv_request = comm.irecv(source, tag + step)
         send_request = comm.isend(dest, nbytes_per_pair, tag + step, payload=payload)
-        yield from comm.waitall([recv_request, send_request])
+        if all_of is not None:
+            yield all_of((recv_request, send_request))
+        else:
+            yield from comm.waitall([recv_request, send_request])
         assert recv_request.envelope is not None
         results[source] = recv_request.envelope.payload
     return results

@@ -31,7 +31,8 @@ class Comm:
     """One rank's communicator."""
 
     __slots__ = (
-        "world", "rank", "size", "sim", "_collective_seq", "_node", "_flow", "_send_name"
+        "world", "rank", "size", "sim", "_collective_seq", "_node", "_flow", "_send_name",
+        "_engine", "_nodes", "_engines",
     )
 
     def __init__(self, world: "MPIWorld", rank: int) -> None:
@@ -42,6 +43,11 @@ class Comm:
         self.sim = world.machine.sim
         self._collective_seq = 0
         self._node = world.node_of(rank)
+        self._engine = world.engine(rank)
+        # The world's per-rank node and matching-engine tables, indexed
+        # once per message.
+        self._nodes = world._node_of
+        self._engines = world._engines
         #: Arbitration and ECMP key of every message this rank sends.
         self._flow = (world.name, rank)
         self._send_name = f"rank{rank}.send"
@@ -60,7 +66,8 @@ class Comm:
         the data move — so the send cannot complete before the receiver has
         posted a matching receive (real MPI's large-message behaviour).
         """
-        self._check_rank(dest)
+        if dest == self.rank or not 0 <= dest < self.size:
+            self._check_rank(dest)
         if tag < 0:
             raise MPIError(f"send tag must be non-negative, got {tag}")
         world = self.world
@@ -73,9 +80,9 @@ class Comm:
             return request
         world.machine.network.send(
             self._node,
-            world.node_of(dest),
+            self._nodes[dest],
             nbytes,
-            partial(world.engine(dest).deliver, envelope),
+            partial(self._engines[dest].deliver, envelope),
             request.succeed,
             self._flow,
         )
@@ -121,9 +128,11 @@ class Comm:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a nonblocking receive."""
-        if source != ANY_SOURCE:
+        if source != ANY_SOURCE and (source == self.rank or not 0 <= source < self.size):
             self._check_rank(source)
-        return self.world.engine(self.rank).post(source, tag)
+        if tag < 0 and tag != ANY_TAG:
+            raise MPIError(f"receive tag must be non-negative, got {tag}")
+        return self._engine.post(source, tag)
 
     # ------------------------------------------------------------------
     # Completion
@@ -211,48 +220,53 @@ class Comm:
         self._collective_seq += 1
         return tag
 
+    # Each returns the collective's generator, for ``yield from``; being no
+    # generator itself, the method adds no level that every resume of a
+    # rank inside the collective would pass through.
     def barrier(self):
         from . import collectives
 
-        return (yield from collectives.barrier(self))
+        return collectives.barrier(self)
 
     def bcast(self, value: Any, root: int, nbytes: int):
         from . import collectives
 
-        return (yield from collectives.bcast(self, value, root, nbytes))
+        return collectives.bcast(self, value, root, nbytes)
 
     def reduce(self, value: Any, root: int, nbytes: int, op=None):
         from . import collectives
 
-        return (yield from collectives.reduce(self, value, root, nbytes, op))
+        return collectives.reduce(self, value, root, nbytes, op)
 
     def allreduce(self, value: Any, nbytes: int, op=None):
         from . import collectives
 
-        return (yield from collectives.allreduce(self, value, nbytes, op))
+        return collectives.allreduce(self, value, nbytes, op)
 
     def gather(self, value: Any, root: int, nbytes: int):
         from . import collectives
 
-        return (yield from collectives.gather(self, value, root, nbytes))
+        return collectives.gather(self, value, root, nbytes)
 
     def allgather(self, value: Any, nbytes: int):
         from . import collectives
 
-        return (yield from collectives.allgather(self, value, nbytes))
+        return collectives.allgather(self, value, nbytes)
 
     def alltoall(self, values: Optional[List[Any]], nbytes_per_pair: int):
         from . import collectives
 
-        return (yield from collectives.alltoall(self, values, nbytes_per_pair))
+        return collectives.alltoall(self, values, nbytes_per_pair)
 
     def scatter(self, values: Optional[List[Any]], root: int, nbytes: int):
         from . import collectives
 
-        return (yield from collectives.scatter(self, values, root, nbytes))
+        return collectives.scatter(self, values, root, nbytes)
 
     # ------------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:
+        # Callers test ``rank == self.rank or not 0 <= rank < self.size``
+        # first, so a valid peer costs no call.
         if not 0 <= rank < self.size:
             raise MPIError(f"rank {rank} out of range [0, {self.size})")
         if rank == self.rank:

@@ -12,6 +12,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Request"]
 
+_NAN = float("nan")
+
 
 class Request(SimEvent):
     """Handle for a pending isend/irecv; it is its own completion event.
@@ -27,7 +29,14 @@ class Request(SimEvent):
     def __init__(self, sim: "Simulator", kind: str, name: str = "") -> None:
         if kind not in ("send", "recv"):
             raise ValueError(f"kind must be 'send' or 'recv', got {kind!r}")
-        SimEvent.__init__(self, sim, name)
+        # SimEvent.__init__'s slots, set here: every message builds two
+        # requests.
+        self.sim = sim
+        self.name = name
+        self.value = None
+        self._callbacks = []
+        self._triggered = False
+        self._trigger_time = _NAN
         self.kind = kind
         self.envelope: Optional[Envelope] = None
 

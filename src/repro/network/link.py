@@ -36,9 +36,9 @@ class Link:
     latency: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:  # non-positive or NaN
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.latency < 0:
+        if not self.latency >= 0:  # negative or NaN
             raise ConfigurationError(f"latency must be non-negative, got {self.latency}")
 
     def serialization_time(self, nbytes: int) -> float:

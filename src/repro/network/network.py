@@ -298,7 +298,7 @@ class InterconnectNetwork:
         Returns:
             The message id (useful for tracing).
         """
-        if nbytes < 0:
+        if not nbytes >= 0:  # negative or NaN
             raise ConfigurationError(f"nbytes must be non-negative, got {nbytes}")
         message_id = next(self._message_ids)
         self.messages_sent += 1
@@ -316,21 +316,28 @@ class InterconnectNetwork:
         # The flow key drives both ECMP path selection and per-flow
         # arbitration at NIC/port queues, so a flow's packets never reorder.
         flow_key = flow if flow is not None else src_node
-        packets = packetize(
-            message_id, nbytes, self.config.mtu, src_node, dst_node, flow=flow_key
-        )
         route_key = (src_node, dst_node, flow_key)
         route = self._routes.get(route_key)
         if route is None:
             route_ids = self.topology.route_flow(src_node, dst_node, flow_key)
             route = self._routes[route_key] = tuple(self.switches[i] for i in route_ids)
-        for packet in packets:
+        if nbytes <= self.config.mtu:
+            # Most MPI messages fit one packet: build it without packetize.
+            packet = Packet(message_id, 0, True, nbytes, src_node, dst_node, flow_key)
             packet.route = route
-        self._pending[message_id] = _PendingMessage(len(packets), on_delivered)
+            packets = [packet]
+            count = 1
+        else:
+            packets = packetize(
+                message_id, nbytes, self.config.mtu, src_node, dst_node, flow=flow_key
+            )
+            for packet in packets:
+                packet.route = route
+            count = len(packets)
+        self._pending[message_id] = _PendingMessage(count, on_delivered)
 
-        self.packets_offered += len(packets)
-        nic = self.nics[src_node]
-        nic.inject(packets, route[0].arrive, on_complete=on_sent)
+        self.packets_offered += count
+        self.nics[src_node].inject(packets, route[0].arrive, on_sent)
         return message_id
 
     def _on_packet(self, packet: Packet) -> None:

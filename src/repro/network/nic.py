@@ -42,7 +42,7 @@ class NIC:
         link: Link,
         min_packet_overhead: float = 0.0,
     ) -> None:
-        if min_packet_overhead < 0:
+        if not min_packet_overhead >= 0:  # negative or NaN
             raise ConfigurationError(
                 f"min_packet_overhead must be >= 0, got {min_packet_overhead}"
             )
@@ -50,6 +50,11 @@ class NIC:
         self.node_id = node_id
         self.link = link
         self.min_packet_overhead = min_packet_overhead
+        # Cached from the link, which refuses a non-positive or NaN
+        # bandwidth and a negative or NaN latency: every serialization and
+        # hop delay is non-negative, so the NIC pushes it unvalidated.
+        self._bandwidth = link.bandwidth
+        self._latency = link.latency
         self._flows: Dict[Hashable, Deque[_Entry]] = {}
         self._order: Deque[Hashable] = deque()
         self._busy = False
@@ -92,7 +97,10 @@ class NIC:
             # into service, as if it were queued and popped back at once.
             packet = packets[0]
             packet.injected_at = now
-            self._start(packet, handoff, on_complete if last_index == 0 else None)
+            if last_index == 0:
+                self._start(packet, handoff, on_complete)
+                return
+            self._start(packet, handoff, None)
             first = 1
         flows = self._flows
         order = self._order
@@ -106,24 +114,8 @@ class NIC:
             callback = on_complete if index == last_index else None
             flow_queue.append((packet, handoff, callback))
         self._queued += last_index + 1 - first
-        if first and len(order) > 1 and packets[0].flow in flows:
-            # Round robin: the flow just served goes behind every other.
-            order.remove(packets[0].flow)
-            order.append(packets[0].flow)
 
     # ------------------------------------------------------------------
-    def _serve_next(self) -> None:
-        """Pop the next packet in round-robin flow order and serve it."""
-        flow = self._order.popleft()
-        flow_queue = self._flows[flow]
-        packet, handoff, callback = flow_queue.popleft()
-        self._queued -= 1
-        if flow_queue:
-            self._order.append(flow)  # rotate to the back
-        else:
-            del self._flows[flow]
-        self._start(packet, handoff, callback)
-
     def _start(
         self,
         packet: Packet,
@@ -131,10 +123,9 @@ class NIC:
         callback: Optional[CompletionCallback],
     ) -> None:
         self._busy = True
-        serialization = (
-            self.link.serialization_time(packet.size) + self.min_packet_overhead
-        )
-        self.sim.schedule(serialization, self._done, packet, handoff, callback)
+        sim = self.sim
+        serialization = packet.size / self._bandwidth + self.min_packet_overhead
+        sim._push(sim._now + serialization, self._done, (packet, handoff, callback))
 
     def _done(
         self,
@@ -142,15 +133,28 @@ class NIC:
         handoff: Handoff,
         callback: Optional[CompletionCallback],
     ) -> None:
+        """A packet finished serializing: hand it on, then serve the next."""
         self.packets_injected += 1
         self.bytes_injected += packet.size
-        if self.link.latency > 0.0:
-            self.sim.schedule(self.link.latency, handoff, packet)
+        latency = self._latency
+        if latency > 0.0:
+            sim = self.sim
+            sim._push(sim._now + latency, handoff, (packet,))
         else:
             handoff(packet)
         if callback is not None:
             callback()
-        if self._order:
-            self._serve_next()
+        order = self._order
+        if order:
+            # The next packet in round-robin flow order.
+            flow = order.popleft()
+            flow_queue = self._flows[flow]
+            packet, handoff, callback = flow_queue.popleft()
+            self._queued -= 1
+            if flow_queue:
+                order.append(flow)  # rotate to the back
+            else:
+                del self._flows[flow]
+            self._start(packet, handoff, callback)
         else:
             self._busy = False

@@ -99,8 +99,6 @@ def packetize(
 ) -> List[Packet]:
     """Split a message into MTU-sized packets (final packet takes the rest)."""
     count = packet_count(nbytes, mtu)
-    if count == 1:
-        return [Packet(message_id, 0, True, nbytes, src_node, dst_node, flow)]
     packets: List[Packet] = []
     remaining = nbytes
     for seq in range(count):

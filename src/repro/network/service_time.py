@@ -122,8 +122,8 @@ class LognormalService(ServiceTimeModel):
 
     def __init__(self, mean: float, sigma: float) -> None:
         _check_mean(mean)
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
+        if not 0 <= sigma < math.inf:  # negative, infinite or NaN
+            raise ConfigurationError(f"sigma must be non-negative and finite, got {sigma}")
         self._mean = float(mean)
         self._sigma = float(sigma)
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2)  =>  solve for mu.

@@ -42,7 +42,7 @@ class _SwitchBase:
     """Shared wiring: endpoint registry, uplinks, and route advancement."""
 
     def __init__(self, sim: Simulator, name: str, egress_latency: float) -> None:
-        if egress_latency < 0:
+        if not egress_latency >= 0:  # negative or NaN
             raise ConfigurationError(f"egress_latency must be >= 0, got {egress_latency}")
         self.sim = sim
         self.name = name
@@ -96,7 +96,8 @@ class _SwitchBase:
     def _finish(self, packet: Packet) -> None:
         """Route a served packet onward, honouring the egress latency."""
         if self.egress_latency > 0.0:
-            self.sim.schedule(self.egress_latency, self._deliver, packet)
+            sim = self.sim
+            sim._push(sim._now + self.egress_latency, self._deliver, (packet,))
         else:
             self._deliver(packet)
 
@@ -189,11 +190,21 @@ class _OutputPort:
 
     def arrive(self, packet: Packet) -> None:
         switch = self.switch
-        packet.arrived_fabric_at = switch.sim._now
-        switch.stats.record_arrival(self.queued)
+        sim = switch.sim
+        now = sim._now
+        packet.arrived_fabric_at = now
+        # FabricStats.record_arrival, inlined: every packet crossing the
+        # switch arrives here.
+        stats = switch.stats
+        stats.arrivals += 1
+        if self.queued > stats.queue_peak:
+            stats.queue_peak = self.queued
         if not self.busy:
-            # An idle port's queues are empty: serve the packet at once.
-            self._start(packet)
+            # An idle port's queues are empty: serve the packet at once,
+            # so it waited 0.0, which is what now - now gives.
+            self.busy = True
+            service = packet.size / switch.port_bandwidth + switch._overhead.next()
+            sim._push(now + service, self._complete, (packet, 0.0, service))
             return
         flow_queue = self.flows.get(packet.flow)
         if flow_queue is None:
@@ -202,38 +213,47 @@ class _OutputPort:
         flow_queue.append(packet)
         self.queued += 1
 
-    def _serve_next(self) -> None:
-        """Pop the next packet in round-robin flow order and serve it."""
-        order = self.order
-        flows = self.flows
-        flow = order.popleft()
-        flow_queue = flows[flow]
-        packet = flow_queue.popleft()
-        self.queued -= 1
-        if flow_queue:
-            order.append(flow)  # rotate: flow goes to the back
-        else:
-            del flows[flow]
-        self._start(packet)
-
-    def _start(self, packet: Packet) -> None:
-        self.busy = True
+    def _complete(self, packet: Packet, wait: float, service: float) -> None:
+        """A packet finished service: start the next, then route it onward."""
         switch = self.switch
         sim = switch.sim
-        service = packet.size / switch.port_bandwidth + switch._overhead.next()
-        wait = sim._now - packet.arrived_fabric_at
-        sim.schedule(service, self._complete, packet, wait, service)
-
-    def _complete(self, packet: Packet, wait: float, service: float) -> None:
-        switch = self.switch
-        switch.stats.record_service(wait, service)
+        # FabricStats.record_service and the switch's _finish, inlined.
+        stats = switch.stats
+        stats.served += 1
+        stats.wait_sum += wait
+        stats.service_sum += service
+        stats.busy_time += service
         self.served += 1
         self.busy_time += service
-        if self.order:
-            self._serve_next()
+        order = self.order
+        if order:
+            # The next packet in round-robin flow order; the port stays busy.
+            flows = self.flows
+            flow = order.popleft()
+            flow_queue = flows[flow]
+            queued = flow_queue.popleft()
+            self.queued -= 1
+            if flow_queue:
+                order.append(flow)  # rotate: flow goes to the back
+            else:
+                del flows[flow]
+            # Service is a size over the validated port bandwidth plus a
+            # draw from a service model with non-negative draws: never
+            # negative or NaN, so it is pushed without validation.
+            next_service = queued.size / switch.port_bandwidth + switch._overhead.next()
+            now = sim._now
+            sim._push(
+                now + next_service,
+                self._complete,
+                (queued, now - queued.arrived_fabric_at, next_service),
+            )
         else:
             self.busy = False
-        switch._finish(packet)
+        egress = switch.egress_latency
+        if egress > 0.0:
+            sim._push(sim._now + egress, switch._deliver, (packet,))
+        else:
+            switch._deliver(packet)
 
 
 class OutputQueuedSwitch(_SwitchBase):
@@ -264,7 +284,7 @@ class OutputQueuedSwitch(_SwitchBase):
         name: str = "switch",
     ) -> None:
         super().__init__(sim, name, egress_latency)
-        if port_bandwidth <= 0:
+        if not port_bandwidth > 0:  # non-positive or NaN
             raise ConfigurationError(
                 f"port_bandwidth must be positive, got {port_bandwidth}"
             )

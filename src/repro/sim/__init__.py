@@ -7,7 +7,6 @@ See :mod:`repro.sim.kernel` for the execution model.
 
 from .events import AllOf, AnyOf, SimEvent
 from .kernel import ScheduledCall, Simulator
-from .primitives import Resource, Store
 from .process import Process
 from .random import RandomStreams, stable_hash64
 
@@ -18,8 +17,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Process",
-    "Resource",
-    "Store",
     "RandomStreams",
     "stable_hash64",
 ]

@@ -5,12 +5,12 @@ on by ``yield``-ing it.  Events are triggered exactly once via
 :meth:`SimEvent.succeed`; callbacks registered before or after the trigger all
 fire in deterministic order at the simulated instant of the trigger.
 
-An :class:`AllOf` is counted down synchronously: a child's ``succeed`` calls
-it in place of scheduling a callback, and only the child that brings the
-count to zero schedules the zero-delay entry that fires it — at the point in
-the child's callback loop where a callback would have been scheduled.  The
-heap entries this saves each did nothing but decrement the count, so the
-order of every callback with side effects is unchanged.
+An :class:`AllOf` is counted down synchronously: a child's ``succeed``
+decrements it in place of scheduling a callback, and only the child that
+brings the count to zero schedules the zero-delay entry that fires it — at
+the point in the child's callback loop where a callback would have been
+scheduled.  The heap entries this saves each did nothing but decrement the
+count, so the order of every callback with side effects is unchanged.
 """
 
 from __future__ import annotations
@@ -80,16 +80,21 @@ class SimEvent:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
         sim = self.sim
-        self._trigger_time = sim._now
+        now = sim._now
+        self._trigger_time = now
         self.value = value
         callbacks = self._callbacks
         self._callbacks = None  # break reference cycles, catch double fire
         if callbacks:
+            args = (self,)
             for callback in callbacks:
                 if isinstance(callback, AllOf):
-                    callback._count_down()
+                    # Count the parent down; the last child schedules it.
+                    callback._pending -= 1
+                    if callback._pending == 0:
+                        sim._push(now, callback._fire, ())
                 else:
-                    sim.schedule(0.0, callback, self)
+                    sim._push(now, callback, args)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -108,7 +113,13 @@ class AllOf(SimEvent):
     __slots__ = ("_children", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[SimEvent], name: str = "") -> None:
-        super().__init__(sim, name or "all_of")
+        # SimEvent.__init__'s slots, set here: one join is built per waitall.
+        self.sim = sim
+        self.name = name or "all_of"
+        self.value: Any = None
+        self._callbacks: Optional[List[Union[Callback, "AllOf"]]] = []
+        self._triggered = False
+        self._trigger_time: float = _NAN
         self._children = children = list(events)
         if not children:
             self._pending = 0
@@ -122,13 +133,7 @@ class AllOf(SimEvent):
                 child._callbacks.append(self)  # counted down by child.succeed
         self._pending = pending
         if pending == 0:
-            sim.schedule(0.0, self._fire)
-
-    def _count_down(self) -> None:
-        """One child fired; the last one schedules the firing entry."""
-        self._pending -= 1
-        if self._pending == 0:
-            self.sim.schedule(0.0, self._fire)
+            sim._push(sim._now, self._fire, ())
 
     def _fire(self) -> None:
         self.succeed([child.value for child in self._children])

@@ -10,6 +10,17 @@ processes hundreds of thousands of packets per experiment, each costing a
 handful of heap operations, so the hot-path entries are plain 4-tuples
 ``(time, seq, fn, args)`` on a ``heapq``; cancellable entries (rarely
 needed) wrap their callback in a :class:`ScheduledCall` guard.
+
+Every entry enters the heap through one internal push,
+:meth:`Simulator._push`, which also keeps the ``max_pending`` high-water
+mark.  The public ``schedule*`` methods validate their delay or time and
+then push.  Callers whose delays are non-negative by construction push
+directly, without validation: NIC serialization, the NIC-to-switch and
+switch egress hops, output-port service, and the zero-delay hops of
+:class:`~repro.sim.events.SimEvent`, :class:`~repro.sim.events.AllOf` and a
+process waiting on an event that already fired.
+Either way an entry gets the same time and the next sequence number, so
+event order does not depend on which path scheduled it.
 """
 
 from __future__ import annotations
@@ -187,14 +198,7 @@ class Simulator:
         """
         if not delay >= 0.0:  # negative or NaN
             raise SimulationError(f"cannot schedule with delay {delay!r}")
-        self._sequence += 1
-        _heappush(self._heap, (self._now + delay, self._sequence, fn, args))
-        # One compare per schedule keeps the queue-depth high-water mark
-        # without any per-event work in the run loop.  Net of cancelled
-        # entries, so max_pending stays a true live-queue-depth mark.
-        depth = len(self._heap) - self._cancelled
-        if depth > self._max_pending:
-            self._max_pending = depth
+        self._push(self._now + delay, fn, args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at an absolute simulated time.
@@ -206,11 +210,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}; current time is {self._now!r}"
             )
-        self._sequence += 1
-        _heappush(self._heap, (time, self._sequence, fn, args))
-        depth = len(self._heap) - self._cancelled
-        if depth > self._max_pending:
-            self._max_pending = depth
+        self._push(time, fn, args)
 
     def schedule_cancellable(
         self, delay: float, fn: Callable[..., Any], *args: Any
@@ -219,12 +219,27 @@ class Simulator:
         if not delay >= 0.0:  # negative or NaN
             raise SimulationError(f"cannot schedule with delay {delay!r}")
         entry = ScheduledCall(self._now + delay, fn, args, self)
+        self._push(entry.time, entry._run, ())
+        return entry
+
+    def _push(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        """Push one heap entry at ``time``, without validation.
+
+        Every ``schedule*`` method pushes through here after its checks.
+        Components call it directly only where ``time`` is ``now`` plus a
+        delay that is non-negative by construction (a delay built from
+        parameters validated when the component was made), so it can
+        never lie in the past or be NaN.
+        """
         self._sequence += 1
-        _heappush(self._heap, (entry.time, self._sequence, entry._run, ()))
-        depth = len(self._heap) - self._cancelled
+        heap = self._heap
+        _heappush(heap, (time, self._sequence, fn, args))
+        # One compare per push keeps the queue-depth high-water mark
+        # without any per-event work in the run loop.  Net of cancelled
+        # entries, so max_pending stays a true live-queue-depth mark.
+        depth = len(heap) - self._cancelled
         if depth > self._max_pending:
             self._max_pending = depth
-        return entry
 
     # ------------------------------------------------------------------
     # Factories

@@ -15,7 +15,7 @@ of the kernel so broken simulations fail loudly instead of deadlocking.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import ProcessFailure, SimulationError
 from .events import SimEvent
@@ -33,7 +33,7 @@ class Process:
     simulated time (asynchronously, on the next kernel step at ``now``).
     """
 
-    __slots__ = ("sim", "name", "generator", "terminated", "_alive", "_result")
+    __slots__ = ("sim", "name", "generator", "terminated", "_alive", "_result", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator[Any, Any, Any], name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -48,7 +48,10 @@ class Process:
         self.terminated: SimEvent = sim.event(f"{self.name}.terminated")
         self._alive = True
         self._result: Any = None
-        sim.schedule(0.0, self._resume, None)
+        # The callback of every wake-up, bound once: each awaited event
+        # holds it, and every wait would otherwise bind a fresh method.
+        self._wake = self._resume
+        sim.schedule(0.0, self._wake, None)
 
     # ------------------------------------------------------------------
     @property
@@ -62,10 +65,14 @@ class Process:
         return self._result
 
     # ------------------------------------------------------------------
-    def _resume(self, value: Any) -> None:
-        """Advance the generator with ``value``, interpreting what it yields."""
+    def _resume(self, event: Optional[SimEvent]) -> None:
+        """Advance the generator, interpreting what it yields.
+
+        ``event`` is the awaited event that woke the process, whose value
+        the generator receives, or ``None`` at start and after a delay.
+        """
         try:
-            target = self.generator.send(value)
+            target = self.generator.send(None if event is None else event.value)
         except StopIteration as stop:
             self._alive = False
             self._result = stop.value
@@ -76,15 +83,21 @@ class Process:
             raise ProcessFailure(self.name, str(exc)) from exc
 
         if isinstance(target, SimEvent):
-            target.on_trigger(self._resume_from_event)
+            # SimEvent.on_trigger, inlined: a wait per message makes this
+            # the most common yield.
+            if target._triggered:
+                sim = self.sim
+                sim._push(sim._now, self._wake, (target,))
+            else:
+                target._callbacks.append(self._wake)
         elif isinstance(target, (float, int)):
             if not target >= 0:
                 kind = "negative" if target < 0 else "NaN"
                 self._fail(SimulationError(f"process {self.name!r} yielded {kind} delay {target!r}"))
                 return
-            self.sim.schedule(float(target), self._resume, None)
+            self.sim.schedule(float(target), self._wake, None)
         elif isinstance(target, Process):
-            target.terminated.on_trigger(self._resume_from_event)
+            target.terminated.on_trigger(self._wake)
         else:
             self._fail(
                 SimulationError(
@@ -92,9 +105,6 @@ class Process:
                     "yield a delay, SimEvent, or Process"
                 )
             )
-
-    def _resume_from_event(self, event: SimEvent) -> None:
-        self._resume(event.value)
 
     def _fail(self, error: Exception) -> None:
         """Kill the generator and raise out of the kernel."""

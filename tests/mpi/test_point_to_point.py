@@ -200,6 +200,22 @@ def test_negative_tag_rejected(machine, world):
         machine.sim.run_until_event(job.done)
 
 
+def test_negative_receive_tag_rejected(machine, world):
+    """A receive no send can match fails at once, not when the heap drains."""
+
+    def workload(ctx):
+        if ctx.rank == 0:
+            yield from ctx.comm.send(1, 8, tag=2)
+        elif ctx.rank == 1:
+            yield from ctx.comm.recv(0, tag=-2)
+        return None
+        yield
+
+    job = world.launch(workload)
+    with pytest.raises(ProcessFailure, match="receive tag must be non-negative, got -2"):
+        machine.sim.run_until_event(job.done)
+
+
 def test_intra_node_faster_than_inter_node(machine):
     """Ranks 0,1 share node 0; rank 2 is on node 1."""
     world = MPIWorld.create(machine, PerSocketPlacement(1), name="lat")

@@ -25,6 +25,11 @@ def test_link_validation():
         Link(bandwidth=0, latency=0)
     with pytest.raises(ConfigurationError):
         Link(bandwidth=1e9, latency=-1e-9)
+    # NaN would reach the kernel's unvalidated push through the NIC.
+    with pytest.raises(ConfigurationError):
+        Link(bandwidth=float("nan"), latency=0)
+    with pytest.raises(ConfigurationError):
+        Link(bandwidth=1e9, latency=float("nan"))
     with pytest.raises(ConfigurationError):
         Link(bandwidth=1e9, latency=0).serialization_time(-1)
 
@@ -148,3 +153,5 @@ def test_nic_backlog_property():
 def test_nic_overhead_validation():
     with pytest.raises(ConfigurationError):
         NIC(Simulator(), 0, Link(1e9, 0.0), min_packet_overhead=-1.0)
+    with pytest.raises(ConfigurationError):
+        NIC(Simulator(), 0, Link(1e9, 0.0), min_packet_overhead=float("nan"))

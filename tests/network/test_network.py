@@ -92,6 +92,8 @@ def test_negative_size_rejected():
     net = _net(sim)
     with pytest.raises(ConfigurationError):
         net.send(0, 1, -1, on_delivered=lambda: None)
+    with pytest.raises(ConfigurationError):
+        net.send(0, 1, float("nan"), on_delivered=lambda: None)
 
 
 def test_concurrent_senders_contend_for_fabric():

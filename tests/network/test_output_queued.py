@@ -135,13 +135,14 @@ def test_default_flow_is_source_node():
 
 
 def test_invalid_bandwidth_rejected():
-    with pytest.raises(ConfigurationError):
-        OutputQueuedSwitch(
-            Simulator(),
-            port_bandwidth=0.0,
-            overhead_model=DeterministicService(1e-9),
-            rng=RandomStreams(0).stream("s"),
-        )
+    for bandwidth in (0.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            OutputQueuedSwitch(
+                Simulator(),
+                port_bandwidth=bandwidth,
+                overhead_model=DeterministicService(1e-9),
+                rng=RandomStreams(0).stream("s"),
+            )
 
 
 def test_port_report_and_hotspots():

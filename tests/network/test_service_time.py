@@ -86,6 +86,10 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ConfigurationError):
         LognormalService(1e-6, sigma=-0.1)
     with pytest.raises(ConfigurationError):
+        LognormalService(1e-6, sigma=float("nan"))
+    with pytest.raises(ConfigurationError):
+        LognormalService(1e-6, sigma=float("inf"))
+    with pytest.raises(ConfigurationError):
         MixtureService([], [])
     with pytest.raises(ConfigurationError):
         MixtureService([DeterministicService(1.0)], [0.0])

@@ -89,6 +89,8 @@ def test_invalid_construction():
         _fabric(sim, servers=0)
     with pytest.raises(ConfigurationError):
         _fabric(sim, egress=-0.1)
+    with pytest.raises(ConfigurationError):
+        _fabric(sim, egress=float("nan"))
 
 
 def test_stats_track_waits_and_busy_time():

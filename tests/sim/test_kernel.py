@@ -1,6 +1,7 @@
 """Tests for the discrete-event kernel ordering and execution semantics."""
 
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -205,6 +206,48 @@ def test_max_pending_is_live_queue_depth():
         sim.schedule(0.5, lambda: None)
     assert sim.max_pending == 5
     sim.run()
+
+
+def test_max_pending_is_exact_on_an_mpi_run(monkeypatch):
+    """Every heap entry of a real run is counted by the high-water mark.
+
+    NICs, switch ports and events push through the kernel's internal push,
+    not ``schedule``.  Recording the live depth after every heap push, and
+    the mark before the next, catches a push that bypasses the kernel or
+    skips the high-water update.
+    """
+    from repro.cluster import Machine, small_test_config
+    from repro.mpi import MPIWorld
+    from repro.sim import kernel
+    from repro.workloads import FFTW, MILC
+
+    # Sixteen nodes: the deepest queue is then reached by a switch egress
+    # hop, an internal push, not by the process starts at time zero.
+    machine = Machine(small_test_config(seed=0, node_count=16))
+    sim = machine.sim
+    start = sim.max_pending
+    marks, depths = [], []
+    heappush = kernel._heappush
+
+    def recording_push(heap, entry):
+        marks.append(sim.max_pending)
+        heappush(heap, entry)
+        depths.append(len(heap) - sim.cancelled_pending)
+
+    monkeypatch.setattr(kernel, "_heappush", recording_push)
+    jobs = [
+        MPIWorld.create(machine, app.preferred_placement(machine.config), name=app.name)
+        .launch(app)
+        for app in (FFTW(iterations=1), MILC(iterations=3))
+    ]
+    for job in jobs:
+        sim.run_until_event(job.done)
+    assert len(depths) >= sim.events_executed > 10_000
+    # Before each push, the mark is the deepest live queue seen so far.
+    running = list(accumulate(depths, max, initial=start))
+    assert marks == running[:-1]
+    assert max(depths) == running[-1] == sim.max_pending
+    assert sim.counters()["kernel.max_pending"] == float(sim.max_pending)
 
 
 def test_counters_report_net_pending_and_cancelled_tally():

@@ -7,9 +7,42 @@ from repro.core.measurement import LatencyCollector
 from repro.mpi import MPIWorld
 from repro.trace import SLEEP, WAIT, StateTracer
 from repro.units import MS
-from repro.workloads import ImpactB
+from repro.workloads import FFTW, MILC, ImpactB
 
 CFG = small_test_config()
+
+
+def _fftw_and_milc(traced):
+    """FFTW (one alltoall round) beside MILC on one machine; optionally traced."""
+    machine = Machine(small_test_config(seed=0))
+    jobs, tracers = [], []
+    for app in (FFTW(iterations=1), MILC(iterations=3)):
+        tracer = StateTracer() if traced else None
+        world = MPIWorld.create(
+            machine, app.preferred_placement(machine.config), name=app.name, tracer=tracer
+        )
+        jobs.append(world.launch(app))
+        tracers.append(tracer)
+    for job in jobs:
+        machine.sim.run_until_event(job.done)
+    return machine, jobs, tracers
+
+
+def test_tracing_does_not_perturb_the_simulation():
+    """A traced world waits through waitall, an untraced alltoall on the join
+    itself; both must run the same heap entries, so nothing simulated moves."""
+    plain, plain_jobs, _ = _fftw_and_milc(traced=False)
+    traced, traced_jobs, tracers = _fftw_and_milc(traced=True)
+
+    for plain_job, traced_job in zip(plain_jobs, traced_jobs):
+        assert traced_job.elapsed == plain_job.elapsed
+        assert [p.terminated.trigger_time for p in traced_job.processes] == [
+            p.terminated.trigger_time for p in plain_job.processes
+        ]
+    # Switch, NIC, network and kernel counters, kernel.events included.
+    assert traced.sim.counters() == plain.sim.counters()
+    for job, tracer in zip(traced_jobs, tracers):
+        assert all(tracer.totals(rank)[WAIT] > 0 for rank in range(job.world.size))
 
 
 def test_traced_probe_records_sleep_and_wait():
