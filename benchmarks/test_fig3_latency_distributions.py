@@ -9,41 +9,15 @@ Paper claims reproduced here:
 
 from conftest import save_artifact
 
-from repro.analysis import render_histogram
-
-
-def _build_fig3(pipeline):
-    chunks = []
-    idle = pipeline.idle_signature()
-    chunks.append(
-        render_histogram(
-            idle.histogram.fractions,
-            idle.histogram.edges,
-            title=f"No App (mean {idle.mean * 1e6:.2f}µs)",
-        )
-    )
-    signatures = {}
-    for name in pipeline.app_names:
-        signature = pipeline.app_impact(name).signature
-        signatures[name] = signature
-        chunks.append(
-            render_histogram(
-                signature.histogram.fractions,
-                signature.histogram.edges,
-                title=(
-                    f"{name} (mean {signature.mean * 1e6:.2f}µs, "
-                    f"fraction>2.5µs {signature.histogram.fraction_above(2.5e-6) * 100:.0f}%)"
-                ),
-            )
-        )
-    return "\n\n".join(chunks), idle, signatures
+from repro.analysis.report import fig3
 
 
 def test_fig3_latency_distributions(benchmark, pipeline, artifact_dir):
-    text, idle, signatures = benchmark.pedantic(
-        lambda: _build_fig3(pipeline), rounds=1, iterations=1
+    signatures, text = benchmark.pedantic(
+        fig3, args=(pipeline,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, "fig3_latency_distributions.txt", text)
+    idle = signatures["idle"]
 
     # Shape checks (paper Fig. 3):
     assert 0.5e-6 < idle.mean < 3e-6, "idle latency should be ~1µs"

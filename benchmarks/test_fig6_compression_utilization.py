@@ -10,18 +10,12 @@ from collections import defaultdict
 
 from conftest import save_artifact
 
-from repro.analysis import render_fig6
-
-
-def _build_fig6(pipeline):
-    observations = pipeline.compression_signatures()
-    utilizations = {obs.label: obs.utilization for obs in observations}
-    return render_fig6(utilizations), observations
+from repro.analysis.report import fig6
 
 
 def test_fig6_compression_utilization(benchmark, pipeline, artifact_dir):
-    text, observations = benchmark.pedantic(
-        lambda: _build_fig6(pipeline), rounds=1, iterations=1
+    observations, text = benchmark.pedantic(
+        fig6, args=(pipeline,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, "fig6_compression_utilization.txt", text)
 

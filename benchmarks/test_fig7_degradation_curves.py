@@ -10,29 +10,13 @@ Paper claims reproduced here:
 
 from conftest import save_artifact
 
-from repro.analysis import fit_degradation_trend, render_fig7_series, sensitivity_ranking
-
-
-def _build_fig7(pipeline):
-    signatures = {obs.label: obs for obs in pipeline.compression_signatures()}
-    table = pipeline.degradation_table()
-    curves = {
-        name: [
-            (signatures[label].utilization, degradation)
-            for label, degradation in table[name].items()
-        ]
-        for name in pipeline.app_names
-    }
-    lines = [render_fig7_series(curves), "", "linear trends (slope = % degradation per 100% utilization):"]
-    for name, slope in sensitivity_ranking(curves):
-        fit = fit_degradation_trend(curves[name])
-        lines.append(f"  {name:8s} slope={slope:8.1f}  r²={fit.r_squared:.2f}")
-    return "\n".join(lines), curves
+from repro.analysis import sensitivity_ranking
+from repro.analysis.report import fig7
 
 
 def test_fig7_degradation_curves(benchmark, pipeline, artifact_dir):
-    text, curves = benchmark.pedantic(
-        lambda: _build_fig7(pipeline), rounds=1, iterations=1
+    curves, text = benchmark.pedantic(
+        fig7, args=(pipeline,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, "fig7_degradation_curves.txt", text)
 

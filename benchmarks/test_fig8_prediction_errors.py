@@ -9,18 +9,11 @@ Paper claims reproduced here:
 import numpy as np
 from conftest import save_artifact
 
-from repro.analysis import render_fig8
-
-
-def _build_fig8(pipeline):
-    errors = pipeline.prediction_errors()
-    return render_fig8(errors, pipeline.app_names), errors
+from repro.analysis.report import fig8
 
 
 def test_fig8_prediction_errors(benchmark, pipeline, artifact_dir):
-    text, errors = benchmark.pedantic(
-        lambda: _build_fig8(pipeline), rounds=1, iterations=1
-    )
+    errors, text = benchmark.pedantic(fig8, args=(pipeline,), rounds=1, iterations=1)
     save_artifact(artifact_dir, "fig8_prediction_errors.txt", text)
 
     assert set(errors) == {"AverageLT", "AverageStDevLT", "PDFLT", "Queue"}

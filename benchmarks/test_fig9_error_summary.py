@@ -10,34 +10,22 @@ Paper claims reproduced here:
 
 from conftest import save_artifact
 
-from repro.analysis import fraction_within, render_fig9, summarize_errors
-
-
-def _build_fig9(pipeline):
-    errors = pipeline.prediction_errors()
-    summaries = {
-        model: summarize_errors(list(table.values())) for model, table in errors.items()
-    }
-    lines = [render_fig9(summaries), ""]
-    for model, table in errors.items():
-        share = fraction_within(list(table.values()), 10.0)
-        lines.append(f"{model:16s} fraction of errors <= 10%: {share * 100:.0f}%")
-    return "\n".join(lines), summaries, errors
+from repro.analysis.report import fig9
 
 
 def test_fig9_error_summary(benchmark, pipeline, artifact_dir):
-    text, summaries, errors = benchmark.pedantic(
-        lambda: _build_fig9(pipeline), rounds=1, iterations=1
+    summaries, text = benchmark.pedantic(
+        fig9, args=(pipeline,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, "fig9_error_summary.txt", text)
 
-    medians = {model: summary.median for model, summary in summaries.items()}
+    medians = {model: summary.median for model, (summary, _) in summaries.items()}
 
     # Queue should be best or tied-best on median error (paper §V-C).
     best = min(medians.values())
     assert medians["Queue"] <= best + 5.0, f"queue model far from best: {medians}"
 
     # All summaries well-formed.
-    for summary in summaries.values():
+    for summary, _ in summaries.values():
         assert summary.count == len(pipeline.app_names) ** 2
         assert summary.q1 <= summary.median <= summary.q3

@@ -9,18 +9,11 @@ Paper claims reproduced here:
 import numpy as np
 from conftest import save_artifact
 
-from repro.analysis import render_table1
-
-
-def _build_table1(pipeline):
-    pairs = pipeline.measured_pairs()
-    return render_table1(pipeline.app_names, pairs), pairs
+from repro.analysis.report import table1
 
 
 def test_table1_pair_slowdowns(benchmark, pipeline, artifact_dir):
-    text, pairs = benchmark.pedantic(
-        lambda: _build_table1(pipeline), rounds=1, iterations=1
-    )
+    pairs, text = benchmark.pedantic(table1, args=(pipeline,), rounds=1, iterations=1)
     save_artifact(artifact_dir, "table1_pair_slowdowns.txt", text)
 
     names = pipeline.app_names

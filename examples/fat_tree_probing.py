@@ -14,20 +14,22 @@ from repro.cluster import ExplicitPlacement, Machine, PerSocketPlacement
 from repro.config import MachineConfig, NodeConfig
 from repro.core.measurement import LatencyCollector
 from repro.mpi import MPIWorld
-from repro.network import FatTreeTopology
-from repro.network.graph import bisection_width, oversubscription_ratio
+from repro.network import LeafSpineTopology
 from repro.units import MS, US
 from repro.workloads import CompressionB, CompressionConfig, ImpactB
 
 
 def main() -> None:
-    topology = FatTreeTopology(leaf_count=2, nodes_per_leaf=9, root_count=2)
+    topology = LeafSpineTopology(leaf_count=2, nodes_per_leaf=9, spine_count=2)
     config = MachineConfig(node_count=18, node=NodeConfig(), seed=11)
     machine = Machine(config, topology)
 
     print(f"fat tree: {topology.leaf_count} leaves x {topology.nodes_per_leaf} nodes")
-    print(f"  bisection width  : {bisection_width(topology)} links")
-    print(f"  oversubscription : {oversubscription_ratio(topology):.1f}:1")
+    print(
+        "  oversubscription : "
+        f"{topology.nodes_per_leaf / topology.spine_count:.1f}:1 "
+        "(node links per leaf over spine uplinks)"
+    )
 
     # Probe everywhere: pairs form between node positions (0,1), (2,3), ...
     # so every pair's traffic stays on its own leaf.

@@ -13,7 +13,13 @@ import numpy as np
 
 from ..errors import ExperimentError
 
-__all__ = ["ErrorSummary", "absolute_errors", "summarize_errors", "fraction_within"]
+__all__ = [
+    "ErrorSummary",
+    "absolute_errors",
+    "summarize_errors",
+    "fraction_within",
+    "error_summaries",
+]
 
 
 @dataclass(frozen=True)
@@ -78,3 +84,15 @@ def fraction_within(errors: Sequence[float], threshold: float) -> float:
         raise ExperimentError("cannot compute a fraction of zero errors")
     values = np.asarray(list(errors), dtype=float)
     return float((values <= threshold).mean())
+
+
+def error_summaries(
+    errors: Mapping[str, Mapping[Tuple[str, str], float]]
+) -> Dict[str, Tuple[ErrorSummary, float]]:
+    """Each model's Fig. 9 numbers: its error summary and its share of
+    errors at or below 10%."""
+    summaries = {}
+    for model, table in errors.items():
+        values = list(table.values())
+        summaries[model] = (summarize_errors(values), fraction_within(values, 10.0))
+    return summaries

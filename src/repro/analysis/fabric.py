@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..config import scenario_tag
 from ..errors import ExperimentError
-from .errors import ErrorSummary, fraction_within, summarize_errors
+from .errors import ErrorSummary, error_summaries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.experiments import ReproductionPipeline
@@ -25,16 +25,16 @@ __all__ = ["fabric_comparison", "render_fabric_comparison", "write_fabric_report
 
 
 def _error_block(errors: Dict[str, Dict[Tuple[str, str], float]]) -> Dict[str, dict]:
-    block = {}
-    for model, table in errors.items():
-        values = list(table.values())
-        summary = summarize_errors(values)
-        block[model] = {
+    return {
+        model: {
             "summary": summary,
-            "within_10pct": fraction_within(values, 10.0),
-            "per_pair": {f"{app}+{other}": err for (app, other), err in table.items()},
+            "within_10pct": within,
+            "per_pair": {
+                f"{app}+{other}": err for (app, other), err in errors[model].items()
+            },
         }
-    return block
+        for model, (summary, within) in error_summaries(errors).items()
+    }
 
 
 def fabric_comparison(

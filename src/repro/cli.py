@@ -38,15 +38,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import telemetry as telemetry_mod
-from .analysis import (
-    render_fig6,
-    render_fig7_series,
-    render_fig8,
-    render_fig9,
-    render_histogram,
-    render_table1,
-    summarize_errors,
-)
+from .analysis.report import FIGURES
 from .core.experiments import PipelineSettings, ReproductionPipeline
 from .parallel import RetryPolicy
 
@@ -325,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("table1", "measured pairwise slowdowns")
     command("fig8", "per-pairing prediction errors of all models")
     command("fig9", "quartile error summary per model")
-    command("report", "everything: table1 + fig6-9 summaries")
+    command("report", "table1, fig6, fig7 and fig9 in one text")
 
     predict = command("predict", "predict one pairing with all models")
     predict.add_argument("app", help="the application whose slowdown is predicted")
@@ -573,60 +565,6 @@ def _pipeline(
         verbose=True,
         telemetry=args.telemetry,
     )
-
-
-def _fig3(pipeline: ReproductionPipeline) -> str:
-    chunks = []
-    idle = pipeline.idle_signature()
-    chunks.append(
-        render_histogram(
-            idle.histogram.fractions, idle.histogram.edges, title="No App"
-        )
-    )
-    for name in pipeline.app_names:
-        signature = pipeline.app_impact(name).signature
-        chunks.append(
-            render_histogram(
-                signature.histogram.fractions,
-                signature.histogram.edges,
-                title=f"{name} (mean {signature.mean * 1e6:.2f}µs)",
-            )
-        )
-    return "\n\n".join(chunks)
-
-
-def _fig6(pipeline: ReproductionPipeline) -> str:
-    utilizations = {
-        obs.label: obs.utilization for obs in pipeline.compression_signatures()
-    }
-    return render_fig6(utilizations)
-
-
-def _fig7(pipeline: ReproductionPipeline) -> str:
-    curves = {}
-    signatures = {obs.label: obs for obs in pipeline.compression_signatures()}
-    for name in pipeline.app_names:
-        curves[name] = [
-            (signatures[label].utilization, degradation)
-            for label, degradation in pipeline.degradation_table()[name].items()
-        ]
-    return render_fig7_series(curves)
-
-
-def _table1(pipeline: ReproductionPipeline) -> str:
-    return render_table1(pipeline.app_names, pipeline.measured_pairs())
-
-
-def _fig8(pipeline: ReproductionPipeline) -> str:
-    return render_fig8(pipeline.prediction_errors(), pipeline.app_names)
-
-
-def _fig9(pipeline: ReproductionPipeline) -> str:
-    summaries = {
-        model: summarize_errors(list(table.values()))
-        for model, table in pipeline.prediction_errors().items()
-    }
-    return render_fig9(summaries)
 
 
 def _registry_main(args: argparse.Namespace, pipeline, human) -> int:
@@ -1065,22 +1003,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"utilization(P-K)={signature.utilization * 100:.1f}% "
             f"true={result.true_utilization * 100:.1f}%"
         )
-    elif args.command == "fig3":
-        print(_fig3(pipeline))
-    elif args.command == "fig6":
-        print(_fig6(pipeline))
-    elif args.command == "fig7":
-        print(_fig7(pipeline))
-    elif args.command == "table1":
-        print(_table1(pipeline))
-    elif args.command == "fig8":
-        print(_fig8(pipeline))
-    elif args.command == "fig9":
-        print(_fig9(pipeline))
-    elif args.command == "report":
-        from .analysis import full_report
-
-        print(full_report(pipeline))
+    elif args.command in FIGURES:
+        print(FIGURES[args.command](pipeline)[1])
     elif args.command == "predict":
         if getattr(args, "artifact", None):
             # Serving path: everything comes from the artifact, no cache —

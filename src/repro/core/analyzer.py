@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.report import degradation_curves
 from ..config import MachineConfig
 from ..core.measurement import ProbeSignature
 from ..errors import ExperimentError
@@ -117,12 +118,7 @@ class ContentionAnalyzer:
 
     def degradation_curve(self, app: str) -> List[Tuple[float, float]]:
         """(utilization, % degradation) points over the catalog, sorted."""
-        table = self.pipeline.degradation_table()[app]
-        signatures = {
-            obs.label: obs.utilization
-            for obs in self.pipeline.compression_signatures()
-        }
-        return sorted((signatures[label], value) for label, value in table.items())
+        return sorted(degradation_curves(self.pipeline)[app])
 
     def predict(self, app: str, other: str) -> Dict[str, float]:
         """All models' predicted % slowdown of ``app`` next to ``other``."""

@@ -15,8 +15,10 @@ percent degradation for A.
 label at construction, so the same campaign products yield the same table —
 and therefore the same predictions — no matter what order the cache, the
 engine, or a deserialized artifact happened to hand them over in.  Score
-ties between configurations always resolve to the lexicographically
-smallest label (the first column of the sorted table).
+ties between configurations resolve to the lexicographically smallest
+label (the first column of the sorted table), after AverageStDevLT's own
+first tie-break: among configs with equal interval overlap, the closest
+mean wins.
 
 Fitting also precomputes the vectorized state every model scores against
 (mean vector, µ±σ interval arrays, the bins×configs histogram-fraction

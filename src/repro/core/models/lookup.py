@@ -14,7 +14,8 @@ Each model reduces to one function, ``_match_index``, mapping a co-runner
 signature to a catalog column of the canonical :class:`FittedTable`; the
 prediction is then a single element read of the apps×configs degradation
 matrix.  Scores are computed as vector operations over the table's
-precomputed state, ties resolve to the first (lowest-label) column, and
+precomputed state.  AverageStDevLT breaks overlap ties by the closest
+mean; every remaining tie resolves to the first (lowest-label) column.
 ``predict_batch`` computes the match once per distinct signature — so
 output is independent of catalog iteration order, and a scalar
 ``predict`` (a one-row batch) equals the batch by construction.
@@ -71,9 +72,12 @@ class AverageLT(_CatalogMatchModel):
 class AverageStDevLT(_CatalogMatchModel):
     """Match on the overlap of the µ±σ intervals.
 
-    If no configuration's interval intersects the target's (all overlaps
-    zero), fall back to the closest-mean choice — the paper does not define
-    this case, and the fallback keeps the model total.
+    A co-runner's narrow interval often sits inside many wide catalog
+    intervals, so the overlap length ties across several configurations.
+    Ties go to the tied configuration with the closest mean |µ_C − µ_B|,
+    then to the lowest label.  If no configuration's interval intersects
+    the target's (all overlaps zero), fall back to the closest-mean choice.
+    The paper defines neither case; both rules keep the model total.
     """
 
     name = "AverageStDevLT"
@@ -85,10 +89,12 @@ class AverageStDevLT(_CatalogMatchModel):
             table.interval_lows, low
         )
         np.maximum(overlaps, 0.0, out=overlaps)
-        best = int(np.argmax(overlaps))
-        if overlaps[best] <= 0.0:
+        best = overlaps.max()
+        if best <= 0.0:
             return table.closest_mean_index(other_signature)
-        return best
+        tied = np.flatnonzero(overlaps == best)
+        distances = np.abs(table.means[tied] - other_signature.mean)
+        return int(tied[np.argmin(distances)])
 
 
 class PDFLT(_CatalogMatchModel):

@@ -21,12 +21,7 @@ from .service_time import (
     default_port_overhead,
 )
 from .switch import OutputQueuedSwitch, SwitchFabric
-from .topology import (
-    FatTreeTopology,
-    LeafSpineTopology,
-    SingleSwitchTopology,
-    Topology,
-)
+from .topology import LeafSpineTopology, SingleSwitchTopology, Topology
 
 __all__ = [
     "Packet",
@@ -44,7 +39,6 @@ __all__ = [
     "Topology",
     "SingleSwitchTopology",
     "LeafSpineTopology",
-    "FatTreeTopology",
     "ServiceTimeModel",
     "DeterministicService",
     "ExponentialService",

@@ -2,9 +2,9 @@
 
 The paper's experiments use the bottom level of a two-level fat tree: 18
 nodes per QLogic 12300 leaf switch.  :class:`SingleSwitchTopology` is that
-configuration; :class:`FatTreeTopology` models the full two-level leaf–spine
-fabric (routes crossing leaf switches traverse leaf → spine → leaf, with the
-spine chosen by ECMP-style flow hashing).
+configuration; :class:`LeafSpineTopology` models the full two-level
+leaf–spine fabric (routes crossing leaf switches traverse leaf → spine →
+leaf, with the spine chosen by ECMP-style flow hashing).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from ..errors import ConfigurationError
 __all__ = [
     "Topology",
     "SingleSwitchTopology",
-    "FatTreeTopology",
     "LeafSpineTopology",
     "route_node_list",
 ]
@@ -232,31 +231,6 @@ class LeafSpineTopology(Topology):
                 out.append((f"leaf{leaf}->spine{spine_index}", leaf, spine))
                 out.append((f"spine{spine_index}->leaf{leaf}", spine, leaf))
         return tuple(out)
-
-
-class FatTreeTopology(LeafSpineTopology):
-    """Back-compat name for :class:`LeafSpineTopology`.
-
-    The original class modelled the two-level tree with a fixed per-leaf-pair
-    root choice (``root_for``); routing is now ECMP flow hashing, shared with
-    :class:`LeafSpineTopology`.  ``root_count`` remains an accepted alias for
-    ``spine_count``.
-    """
-
-    def __init__(
-        self,
-        leaf_count: int,
-        nodes_per_leaf: int,
-        root_count: int = 1,
-        ecmp_seed: int = 0,
-    ) -> None:
-        super().__init__(
-            leaf_count, nodes_per_leaf, spine_count=root_count, ecmp_seed=ecmp_seed
-        )
-
-    @property
-    def root_count(self) -> int:
-        return self.spine_count
 
 
 def route_node_list(topology: Topology, src_node: int, dst_node: int) -> List[int]:

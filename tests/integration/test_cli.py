@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.report import FIGURES
 from repro.cli import build_parser, main
 
 
@@ -48,6 +49,19 @@ def test_options_before_subcommand_are_honored():
     args = build_parser().parse_args(["--cache", "X", "--seed", "9", "calibrate"])
     assert args.cache == "X"
     assert args.seed == 9
+
+
+@pytest.mark.parametrize(
+    "command", ["fig3", "fig6", "fig7", "table1", "fig8", "fig9", "report"]
+)
+def test_cli_figure_commands_print_the_module_text(
+    tmp_path, capsys, paper_cache, paper_pipeline, command
+):
+    code = main(
+        ["--cache", str(tmp_path / "cache"), "--legacy-cache", str(paper_cache), command]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == FIGURES[command](paper_pipeline)[1] + "\n"
 
 
 def test_cli_calibrate_runs(tmp_path, capsys):

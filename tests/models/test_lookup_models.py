@@ -61,6 +61,24 @@ def test_avgstddev_lt_uses_interval_overlap(observations, degradations):
     assert model.predict("appx", _signature(3.0, spread_us=0.5, seed=9)) == 20.0
 
 
+def test_avgstddev_lt_breaks_overlap_ties_by_closest_mean():
+    # Both wide catalog intervals contain the co-runner's narrow one, so
+    # the overlap ties; the lower label has the farther mean and must lose.
+    far = _observation(1, 3.0, spread_us=1.5, seed=1)
+    near = _observation(4, 4.0, spread_us=1.5, seed=2)
+    assert far.label < near.label
+    target = _signature(3.8, spread_us=0.1, seed=9)
+    low, high = target.interval
+    for obs in (far, near):
+        obs_low, obs_high = obs.impact.signature.interval
+        assert obs_low < low and high < obs_high
+    model = AverageStDevLT().fit(
+        [far, near], {"appx": {far.label: 5.0, near.label: 20.0}}
+    )
+    assert model.predict("appx", target) == 20.0
+    assert model.predict_batch([("appx", target), ("appx", target)]) == [20.0, 20.0]
+
+
 def test_avgstddev_lt_falls_back_when_no_overlap(observations, degradations):
     model = AverageStDevLT().fit(observations, degradations)
     # Far beyond every interval: falls back to closest mean (the 6µs config).

@@ -6,7 +6,7 @@ from repro.config import NetworkConfig
 from repro.errors import ConfigurationError
 from repro.network import (
     DeterministicService,
-    FatTreeTopology,
+    LeafSpineTopology,
     InterconnectNetwork,
     SingleSwitchTopology,
 )
@@ -122,7 +122,7 @@ def test_messages_between_same_pair_deliver_in_order():
 
 def test_fat_tree_cross_leaf_traverses_three_fabrics():
     sim = Simulator()
-    topo = FatTreeTopology(leaf_count=2, nodes_per_leaf=2, root_count=1)
+    topo = LeafSpineTopology(leaf_count=2, nodes_per_leaf=2, spine_count=1)
     config = NetworkConfig(switch_mode="central", fabric_service=DeterministicService(1 * US))
     net = InterconnectNetwork(sim, topo, config, RandomStreams(0))
     done = []
@@ -136,7 +136,7 @@ def test_fat_tree_cross_leaf_traverses_three_fabrics():
 
 def test_fat_tree_same_leaf_single_hop():
     sim = Simulator()
-    topo = FatTreeTopology(leaf_count=2, nodes_per_leaf=2, root_count=1)
+    topo = LeafSpineTopology(leaf_count=2, nodes_per_leaf=2, spine_count=1)
     config = NetworkConfig(switch_mode="central", fabric_service=DeterministicService(1 * US))
     net = InterconnectNetwork(sim, topo, config, RandomStreams(0))
     net.send(0, 1, 1 * KB, on_delivered=lambda: None)
