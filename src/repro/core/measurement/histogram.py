@@ -17,6 +17,10 @@ from ...units import US
 
 __all__ = ["LatencyHistogram", "paper_bin_edges"]
 
+#: Relative slack under which an edge equals a threshold: far above the few
+#: ulps ``np.linspace`` may be off, far below any bin width.
+_EDGE_RTOL = 1e-12
+
 
 def paper_bin_edges(
     low: float = 0.0, high: float = 12.0 * US, bins: int = 24
@@ -84,8 +88,16 @@ class LatencyHistogram:
         return int(np.argmax(self.counts))
 
     def fraction_above(self, threshold: float) -> float:
-        """Probability mass at or above ``threshold`` (bin-resolution)."""
-        mask = self.edges[:-1] >= threshold
+        """Probability mass at or above ``threshold`` (bin-resolution).
+
+        A bin counts when its left edge is at or above ``threshold``, or
+        equal to it up to float rounding: :func:`paper_bin_edges` stores
+        the 2.5 µs edge as 2.4999…e-6, and that bin starts at 2.5 µs.
+        """
+        left = self.edges[:-1]
+        mask = (left >= threshold) | np.isclose(
+            left, threshold, rtol=_EDGE_RTOL, atol=0.0
+        )
         return float(self.fractions[mask].sum()) + self.overflow_fraction
 
     def overlap(self, other: "LatencyHistogram") -> float:

