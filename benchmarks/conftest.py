@@ -1,102 +1,34 @@
 """Shared benchmark fixtures.
 
 The benchmark suite regenerates every table and figure of the paper's
-evaluation.  All heavy simulation happens once, through the cached
-:class:`ReproductionPipeline`; each benchmark then times the (cheap)
-artifact assembly and prints/saves the artifact.
-
-Profile resolution (env var ``REPRO_BENCH_PROFILE``):
-
-* ``paper``  — the full 40-config catalog at Cab scale (uses / fills the
-  sharded ``results/cache/`` directory; a cold run takes ~40 minutes).
-* ``quick``  — a 10-config catalog with shorter windows (cold: minutes).
-* ``auto``   (default) — ``paper`` when the paper cache (sharded directory
-  or legacy ``paper_cache.json``) already exists, else ``quick``.
-
-Set ``REPRO_BENCH_ENGINE=analytic`` to answer the whole campaign from the
-closed-form M/G/1 engine instead of the simulator (seconds instead of
-minutes; analytic products live under their own cache keys, so the two
-engines never overwrite each other's shards).
-
-Set ``REPRO_BENCH_WORKERS=N`` to fan the pending campaign out over N
-processes up front (``ensure_all``) instead of computing products lazily.
-Pre-sharding monolithic caches (``results/paper_cache.json`` /
-``results/quick_cache.json``) are migrated into the sharded directories
-automatically.
-
-Fault-tolerance knobs (mirroring the CLI's): ``REPRO_BENCH_MAX_ATTEMPTS``
-(attempts per experiment, default 2), ``REPRO_BENCH_TASK_TIMEOUT`` (seconds
-before a hung task's worker is killed, default none), and
-``REPRO_BENCH_FAILURE_BUDGET`` (permanent failures tolerated before the
-campaign raises, default 0).
-
-Set ``REPRO_BENCH_TELEMETRY=1`` to collect metrics/spans during the
-session campaign and write ``telemetry.json`` next to the cache shards
-(``0`` forces it off; unset defers to ``REPRO_TELEMETRY``).
+evaluation, plus the ablations, from the committed paper campaign
+(``results/paper_cache.json``, 330 sim products).  The campaign is read
+into memory once and no cache directory is written: the figure
+benchmarks simulate nothing, and the ablations run their own small
+simulations.  Each benchmark times its artifact's assembly and
+prints/saves the artifact.  Other profiles, engines and worker counts
+are ``repro --profile/--engine/--cache … campaign|report|fig*``.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 from repro.core.experiments import PipelineSettings, ReproductionPipeline
-from repro.parallel import RetryPolicy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-PAPER_CACHE = REPO_ROOT / "results" / "cache"
-QUICK_CACHE = REPO_ROOT / "results" / "cache-quick"
-LEGACY_PAPER_CACHE = REPO_ROOT / "results" / "paper_cache.json"
-LEGACY_QUICK_CACHE = REPO_ROOT / "results" / "quick_cache.json"
+PAPER_CACHE = REPO_ROOT / "results" / "paper_cache.json"
 ARTIFACTS = REPO_ROOT / "results" / "artifacts"
-
-
-def _resolve_profile() -> str:
-    requested = os.environ.get("REPRO_BENCH_PROFILE", "auto")
-    if requested == "auto":
-        paper_cached = (
-            any(PAPER_CACHE.glob("*.json")) if PAPER_CACHE.is_dir() else False
-        )
-        return "paper" if paper_cached or LEGACY_PAPER_CACHE.exists() else "quick"
-    return requested
 
 
 @pytest.fixture(scope="session")
 def pipeline() -> ReproductionPipeline:
-    profile = _resolve_profile()
-    engine = os.environ.get("REPRO_BENCH_ENGINE", "sim")
-    if profile == "paper":
-        settings = PipelineSettings(profile="paper", engine=engine)
-        cache, legacy = PAPER_CACHE, LEGACY_PAPER_CACHE
-    else:
-        settings = PipelineSettings(
-            profile="quick",
-            impact_duration=0.02,
-            signature_duration=0.02,
-            calibration_duration=0.03,
-            engine=engine,
-        )
-        cache, legacy = QUICK_CACHE, LEGACY_QUICK_CACHE
-    timeout = os.environ.get("REPRO_BENCH_TASK_TIMEOUT")
-    retry = RetryPolicy(
-        max_attempts=int(os.environ.get("REPRO_BENCH_MAX_ATTEMPTS", "2")),
-        timeout=float(timeout) if timeout else None,
-    )
-    bench_telemetry = os.environ.get("REPRO_BENCH_TELEMETRY")
     pipeline = ReproductionPipeline(
-        settings=settings,
-        cache_path=cache,
-        legacy_cache=legacy,
-        retry=retry,
-        failure_budget=int(os.environ.get("REPRO_BENCH_FAILURE_BUDGET", "0")),
-        verbose=True,
-        telemetry=None if bench_telemetry is None else bench_telemetry != "0",
+        settings=PipelineSettings(profile="paper"), legacy_cache=PAPER_CACHE
     )
-    workers = os.environ.get("REPRO_BENCH_WORKERS")
-    if workers:
-        pipeline.ensure_all(workers=int(workers))
+    assert not pipeline.pending_keys(), "the paper cache must hold every product"
     return pipeline
 
 

@@ -1,4 +1,4 @@
-"""End-to-end serving smoke: registry lifecycle + hot reload under live load.
+"""End-to-end serving smoke: registry lifecycle, hot reload and sustained load.
 
 Usage: python scripts/serving_load_smoke.py [--workdir results/serving-smoke]
            [--threads 6] [--settle 0.4]
@@ -13,12 +13,19 @@ surfaces, in one process:
 3. Serve the registry with a fast CURRENT-pointer watcher and drive
    sustained concurrent load from N client threads.
 4. ``repro registry promote v2`` *mid-load*, then keep the load running.
+5. Serve the ``v2`` artifact with telemetry on and fire a fixed load from
+   ``SUSTAINED_THREADS`` client threads: every 4th request a 24-triple
+   ``/predict/batch``, the rest single ``/predict`` calls.
 
 Asserts: zero failed requests across the flip, every client thread's
 observed version stream flips ``v1 -> v2`` exactly once (never back), the
 server records exactly one reload, and post-flip predictions are
 bit-identical to an engine rebuilt from the registry's ``v2`` artifact.
-Exits non-zero on any violation.
+Under the fixed load: zero failed requests, at least
+``THROUGHPUT_FLOOR_RPS`` requests per second, and a ``/predict`` p99 of at
+most ``P99_CEILING_SECONDS`` both client-side and from the server's
+``serving.request_seconds`` histogram, which counts exactly the
+``/predict`` calls answered.  Exits non-zero on any violation.
 """
 
 import argparse
@@ -30,8 +37,17 @@ import time
 import urllib.request
 from pathlib import Path
 
+from repro import telemetry
 from repro.cli import main as repro
 from repro.serving import ModelRegistry, PredictionServer
+
+# Loose floors: a warm stdlib ThreadingHTTPServer on a 2-vCPU host clears
+# them five times over or more; they catch serving-path regressions.
+THROUGHPUT_FLOOR_RPS = 50.0
+P99_CEILING_SECONDS = 0.5
+SUSTAINED_THREADS = 8
+REQUESTS_PER_THREAD = 60
+BATCH_TRIPLES = 24
 
 
 def run_cli(*argv: str) -> None:
@@ -45,6 +61,96 @@ def get(port: int, path: str) -> dict:
         f"http://127.0.0.1:{port}{path}", timeout=30
     ) as response:
         return json.loads(response.read())
+
+
+def post(port: int, path: str, document: dict) -> dict:
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=json.dumps(document).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return json.loads(response.read())
+
+
+def sustained_load(artifact) -> str:
+    """Fixed concurrent load on one served artifact, checked against the
+    throughput floor and the ``/predict`` p99 ceiling."""
+    telemetry.reset()
+    telemetry.enable()
+    server = PredictionServer(artifact, port=0)
+    server.serve_background()
+    port = server.server_port
+    apps = sorted(artifact.signatures)
+    batch = {
+        "requests": [
+            [apps[i % len(apps)], apps[(i + 1) % len(apps)], None]
+            for i in range(BATCH_TRIPLES)
+        ]
+    }
+    failures: list = []
+
+    def client(index: int) -> list:
+        latencies = []
+        for i in range(REQUESTS_PER_THREAD):
+            app = apps[(index + i) % len(apps)]
+            other = apps[(index + i + 1) % len(apps)]
+            try:
+                if i % 4 == 3:
+                    post(port, "/predict/batch", batch)
+                else:
+                    start = time.perf_counter()
+                    get(port, f"/predict?app={app}&other={other}")
+                    latencies.append(time.perf_counter() - start)
+            except Exception as exc:  # noqa: BLE001 - recorded, asserted empty
+                failures.append(repr(exc))
+        return latencies
+
+    try:
+        start = time.perf_counter()
+        with concurrent.futures.ThreadPoolExecutor(
+            max_workers=SUSTAINED_THREADS
+        ) as pool:
+            latencies = sorted(
+                seconds
+                for thread_latencies in pool.map(client, range(SUSTAINED_THREADS))
+                for seconds in thread_latencies
+            )
+        elapsed = time.perf_counter() - start
+        histogram = telemetry.registry().histogram_state(
+            "serving.request_seconds", endpoint="/predict"
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        telemetry.disable()
+
+    if failures:
+        raise SystemExit(f"{len(failures)} requests failed: {failures[:5]}")
+    throughput = SUSTAINED_THREADS * REQUESTS_PER_THREAD / elapsed
+    p99 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
+    server_p99 = telemetry.histogram_percentile(histogram, 0.99)
+    if histogram["count"] != len(latencies):
+        raise SystemExit(
+            f"histogram counted {histogram['count']} /predict calls, "
+            f"clients made {len(latencies)}"
+        )
+    if throughput < THROUGHPUT_FLOOR_RPS:
+        raise SystemExit(
+            f"{throughput:.0f} req/s under the {THROUGHPUT_FLOOR_RPS:.0f} floor"
+        )
+    if p99 > P99_CEILING_SECONDS or server_p99 > P99_CEILING_SECONDS:
+        raise SystemExit(
+            f"/predict p99 {p99 * 1e3:.1f} ms client-side, "
+            f"{server_p99 * 1e3:.1f} ms from the histogram, over the "
+            f"{P99_CEILING_SECONDS * 1e3:.0f} ms ceiling"
+        )
+    return (
+        f"sustained load: {throughput:.0f} req/s over {SUSTAINED_THREADS} "
+        f"threads, /predict p99 {p99 * 1e3:.1f} ms client-side and "
+        f"<= {server_p99 * 1e3:.1f} ms from the histogram"
+    )
 
 
 def main() -> int:
@@ -161,6 +267,8 @@ def main() -> int:
         f"{flipped} thread(s) observed the v1->v2 flip; exactly 1 reload; "
         "post-flip predictions bit-identical to the re-loaded v2 artifact"
     )
+    # 5. Fixed load on the promoted artifact, against the floors.
+    print(f"OK: {sustained_load(registry.load('v2'))}")
     return 0
 
 

@@ -380,8 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="pre-forked server processes sharing the port via SO_REUSEPORT "
-        "(default 1 = single threaded server in this process; requires "
-        "--port != 0 sources served from disk, i.e. --model or --registry)",
+        "(default 1 = one multi-threaded server in this process; with "
+        "--port 0 the workers share one ephemeral port; without --model "
+        "or --registry the fitted artifact is first written to "
+        "<cache>/served_model.json for the workers to load)",
     )
     serve.add_argument(
         "--batch-window",

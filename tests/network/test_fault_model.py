@@ -9,6 +9,8 @@ counters rather than against callbacks alone, so double-counting or silent
 packet leaks cannot hide.
 """
 
+import time
+
 import pytest
 
 from repro.config import LinkFaultConfig, NetworkConfig
@@ -74,6 +76,26 @@ def test_healthy_fabric_has_a_clean_ledger():
     assert net.retransmits_drop == net.retransmits_corrupt == 0
     _assert_ledger_balances(net, injected)
     assert all(not link.is_faulty for link in net.links.values())
+
+
+def test_healthy_fabric_moves_at_least_5k_packets_per_second():
+    # 4,000 cross-leaf 16 KB messages through the 2x2x2 fabric.  A loose
+    # floor (about 33 k packets/s on a 2-vCPU x86 host); only a gross
+    # regression of the hop-by-hop path trips it.
+    messages, nbytes = 4_000, 16 * KB
+    sim = Simulator()
+    net = _fabric(sim)
+    done = []
+    for i in range(messages):
+        net.send(i % 2, 2 + i % 2, nbytes,
+                 on_delivered=lambda: done.append(None), flow=i)
+    start = time.perf_counter()
+    sim.run()
+    elapsed = time.perf_counter() - start
+    assert len(done) == messages
+    assert net.packets_dropped == 0
+    assert net.packets_offered == messages * packet_count(nbytes, net.config.mtu)
+    assert net.packets_offered / elapsed > 5_000
 
 
 def test_packet_conservation_under_mixed_faults():

@@ -7,10 +7,12 @@ must produce bit-identical plans and cache shards.
 """
 
 import json
+import statistics
 
 import pytest
 
 import repro.core.experiments.pipeline as pipeline_mod
+from repro.core.experiments import PipelineSettings, ReproductionPipeline
 from repro.core.experiments.cache import RESERVED_FILES
 from repro.errors import AnalyticModelError, CampaignError
 from repro.planner import CostModel, PlannedCampaign, get_planner
@@ -38,10 +40,33 @@ def test_unbudgeted_campaign_completes_and_tracks_costs(pipeline):
     assert result.budget_spent > 0  # informational even without a budget
     assert result.final_error is not None
     # This tiny fixture can be exhausted, but never overrun: requesting a
-    # product twice must hit the cache, not the engine.  (The "fewer
-    # experiments than exhaustive" claim is the benchmark's to prove, on
-    # the paper-sized catalog.)
+    # product twice must hit the cache, not the engine.
     assert result.executed <= result.total_products
+
+
+def test_planner_matches_the_exhaustive_paper_campaign_at_half_the_products():
+    # The planner's claim, on the paper-sized catalog (6 apps x 40
+    # configs, 330 products) and the analytic engine: four uncertainty
+    # rounds of nine holdout pairs reach the exhaustive campaign's Queue
+    # mean error within 2 points while executing at most half the
+    # products.  Deterministic: 14.15 vs 12.65 after 156 of 330.
+    def paper():
+        return ReproductionPipeline(
+            settings=PipelineSettings(profile="paper", engine="analytic", seed=0)
+        )
+
+    full = paper()
+    full.ensure_all(workers=1)
+    full_error = statistics.fmean(full.prediction_errors()["Queue"].values())
+    result = PlannedCampaign(
+        paper(),
+        get_planner("uncertainty"),
+        max_rounds=4,
+        holdout_per_round=9,
+        workers=1,
+    ).run()
+    assert result.executed <= 0.5 * result.total_products
+    assert abs(result.final_error - full_error) <= 2.0
 
 
 def test_budget_exhaustion_mid_round(pipeline):
