@@ -10,7 +10,9 @@ products compare equal whatever their worker count or landing order.
 
 Prints one line per missing or differing shard and exits 1, or prints a
 summary and exits 0.  Two directories without a single shard also exit 1:
-a campaign that produced nothing proves nothing.
+a campaign that produced nothing proves nothing.  So does a directory that
+still holds ``journal.jsonl``: its campaign was killed before its last
+stage flushed, so its shards lack products the journal holds.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set
 
-from repro.core.experiments.cache import RESERVED_FILES
+from repro.core.experiments.cache import JOURNAL_NAME, RESERVED_FILES
 
 
 def shard_names(directory: Path) -> Set[str]:
@@ -45,6 +47,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("first", type=Path, help="a cache directory")
     parser.add_argument("second", type=Path, help="the cache directory to compare it with")
     args = parser.parse_args(argv)
+    unfinished = [
+        directory for directory in (args.first, args.second) if (directory / JOURNAL_NAME).exists()
+    ]
+    for directory in unfinished:
+        print(f"{directory}: {JOURNAL_NAME} present, campaign did not finish", file=sys.stderr)
+    if unfinished:
+        return 1
     shards = shard_names(args.first) | shard_names(args.second)
     if not shards:
         print(f"no shards in {args.first} or {args.second}", file=sys.stderr)

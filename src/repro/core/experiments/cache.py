@@ -3,15 +3,23 @@
 Campaign products are grouped by the first segment of their cache key
 (``degradation/fftw/P1M1B2.5e6`` → group ``degradation``); each group lives
 in its own JSON shard ``<directory>/<group>.json``, rewritten atomically
-(tempfile + ``os.replace``) whenever one of its keys changes.  A crashed or
-interrupted campaign therefore keeps every shard that finished a write;
-re-running recomputes only the missing products.
+(tempfile + ``os.replace``).  ``put(key, value)`` rewrites the key's shard
+at once.  ``put(key, value, flush=False)`` instead appends one checksummed
+line, ``<sha256> <json [key, value]>``, to ``<directory>/journal.jsonl`` in
+a single flushed write, and :meth:`ShardedCache.flush` later rewrites each
+dirty shard once and deletes the journal.  A campaign journals every
+product as it lands and flushes at the end of each stage, so each shard is
+written once per stage rather than once per product, and a crashed or
+interrupted campaign still keeps every product that finished: the next
+load replays the journal's verified lines, drops a torn or corrupt one
+(its product is simply pending again), and compacts the journal into the
+shards.
 
 The cache trusts nothing it reads back.  Shards are written with a SHA-256
 checksum over their canonical payload; on load, a shard that is truncated,
 unparseable, or fails its checksum is **quarantined** — renamed aside to
-``<group>.json.corrupt`` (never silently deleted, never raised as a raw
-``JSONDecodeError``) — and its keys simply become pending again, so the next
+``<group>.json.corrupt`` (never silently deleted, never raised as a parse
+error) — and its keys simply become pending again, so the next
 campaign recomputes exactly the quarantined products.  Stale ``*.tmp`` files
 leaked by a crash between ``mkstemp`` and ``os.replace`` are swept on load.
 
@@ -37,9 +45,13 @@ from ...faults import active_fault_plan
 from ...telemetry.live import LIVE_REPORT_NAME
 from ...telemetry.report import TELEMETRY_REPORT_NAME
 
-__all__ = ["ShardedCache", "group_of", "SHARD_FORMAT"]
+__all__ = ["ShardedCache", "group_of", "SHARD_FORMAT", "JOURNAL_NAME"]
 
 _SAFE_GROUP = re.compile(r"[^A-Za-z0-9_.-]")
+
+#: Longest group name: its shard and quarantine names stay far below the
+#: 255-byte file-name limit whatever key a legacy file or journal holds.
+_MAX_GROUP = 100
 
 #: Current on-disk shard format version.
 SHARD_FORMAT = 2
@@ -48,14 +60,24 @@ SHARD_FORMAT = 2
 #: directory by every campaign call.
 FAILURE_REPORT_NAME = "failure_report.json"
 
+#: Append-only log of products stored with ``put(..., flush=False)`` and
+#: not yet written into their shards.
+JOURNAL_NAME = "journal.jsonl"
+
+#: What parsing hostile bytes as JSON can raise: ``ValueError`` for
+#: undecodable text, bad JSON and over-long integers, ``RecursionError`` for
+#: deep nesting.
+_PARSE_ERRORS = (ValueError, RecursionError)
+
 #: Files inside the cache directory that are not shards (never loaded,
 #: never quarantined): the failure report and the telemetry reports.
 RESERVED_FILES = frozenset({FAILURE_REPORT_NAME, TELEMETRY_REPORT_NAME, LIVE_REPORT_NAME})
 
 
 def group_of(key: str) -> str:
-    """Shard group of a cache key: its first ``/``-separated segment."""
-    return _SAFE_GROUP.sub("_", key.split("/", 1)[0])
+    """Shard group of a cache key: its first ``/``-separated segment,
+    made file-name safe and cut to ``_MAX_GROUP`` characters."""
+    return _SAFE_GROUP.sub("_", key.split("/", 1)[0])[:_MAX_GROUP]
 
 
 def _checksum(payload_text: str) -> str:
@@ -86,6 +108,7 @@ class ShardedCache:
         self._data: Dict[str, object] = {}
         self._groups: Dict[str, Set[str]] = {}  # group -> its keys
         self._dirty: Set[str] = set()
+        self._journaled = False  # the journal may hold lines flush() must fold in
         self.quarantined: List[Path] = []
         self._load()
 
@@ -105,13 +128,15 @@ class ShardedCache:
                     self._data.update(products)
                     for key in products:
                         self._index(key)
+            if self.journal_path.is_file():
+                self._replay(self.journal_path)
+                self._journaled = True
         if self.legacy_path is not None and self.legacy_path.is_file():
             legacy = self._read_legacy(self.legacy_path)
             fresh = {key: value for key, value in legacy.items() if key not in self._data}
-            if fresh:
-                self._data.update(fresh)
-                self._dirty.update(self._index(key) for key in fresh)
-                self.flush()
+            self._data.update(fresh)
+            self._dirty.update(self._index(key) for key in fresh)
+        self.flush()  # compaction: replayed and migrated products into shards
 
     def _sweep_stale_temp_files(self) -> None:
         """Remove ``*.tmp`` orphans left by a crash mid-``_write_shard``.
@@ -136,7 +161,7 @@ class ShardedCache:
         """
         try:
             document = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, *_PARSE_ERRORS):
             return None
         if not isinstance(document, dict):
             return None
@@ -170,9 +195,29 @@ class ShardedCache:
     def _read_legacy(path: Path) -> Dict[str, object]:
         try:
             legacy = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, *_PARSE_ERRORS):
             return {}
         return legacy if isinstance(legacy, dict) else {}
+
+    def _replay(self, journal: Path) -> None:
+        """Apply the journal's verified lines in order; skip the rest.
+
+        A line is ``<sha256> <json [key, value]>``.  A torn last line (a
+        crash mid-write) or any line whose checksum or shape is wrong is
+        dropped, so its product is pending again.
+        """
+        for line in journal.read_bytes().split(b"\n"):
+            recorded, _, text = line.partition(b" ")
+            if hashlib.sha256(text).hexdigest().encode() != recorded:
+                continue
+            try:
+                record = json.loads(text)
+            except _PARSE_ERRORS:
+                continue
+            if isinstance(record, list) and len(record) == 2 and isinstance(record[0], str):
+                key, value = record
+                self._data[key] = value
+                self._dirty.add(self._index(key))
 
     # ------------------------------------------------------------------
     # Mapping interface
@@ -203,12 +248,24 @@ class ShardedCache:
     # Writing
     # ------------------------------------------------------------------
     def put(self, key: str, value: object, flush: bool = True) -> None:
-        """Store ``value`` and (by default) rewrite its shard atomically."""
+        """Store ``value`` and make it durable.
+
+        By default the key's shard is rewritten atomically at once (with
+        every other dirty shard, which empties the journal).  With
+        ``flush=False`` the product is appended to the journal instead, one
+        line in one flushed write, and its shard waits for :meth:`flush`.
+        """
         self._data[key] = value
-        group = self._index(key)
-        self._dirty.add(group)
+        self._dirty.add(self._index(key))
         if flush:
-            self.flush(group)
+            self.flush()
+        elif self.directory is not None:
+            record = json.dumps([key, value], sort_keys=True)
+            if not self._journaled:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            with open(self.journal_path, "ab") as journal:
+                journal.write(f"{_checksum(record)} {record}\n".encode("utf-8"))
+            self._journaled = True
 
     def _index(self, key: str) -> str:
         """Record ``key`` under its shard group and return the group."""
@@ -216,16 +273,16 @@ class ShardedCache:
         self._groups.setdefault(group, set()).add(key)
         return group
 
-    def flush(self, group: Optional[str] = None) -> None:
-        """Write dirty shards to disk (``group=None`` flushes all of them)."""
+    def flush(self) -> None:
+        """Rewrite each dirty shard once, then delete the journal."""
         if self.directory is None:
             return
-        groups = [group] if group is not None else sorted(self._dirty)
-        for name in groups:
-            if name not in self._dirty:
-                continue
-            self._write_shard(name)
-            self._dirty.discard(name)
+        for group in sorted(self._dirty):
+            self._write_shard(group)
+        self._dirty.clear()
+        if self._journaled:  # every line it holds is in a shard now
+            self.journal_path.unlink(missing_ok=True)
+            self._journaled = False
 
     def _write_shard(self, group: str) -> None:
         assert self.directory is not None
@@ -257,6 +314,13 @@ class ShardedCache:
             path = self.shard_path(group)
             raw = path.read_bytes()
             path.write_bytes(raw[: max(1, len(raw) // 2)])
+
+    @property
+    def journal_path(self) -> Path:
+        """Path of the journal of products not yet in their shards."""
+        if self.directory is None:
+            raise ValueError("memory-only cache has no journal")
+        return self.directory / JOURNAL_NAME
 
     def shard_path(self, group: str) -> Path:
         """Path of one group's shard file."""

@@ -21,9 +21,10 @@ retry/timeout policy that turns permanent failures into structured
 
 Products are memoized in memory and, when a cache directory is given, in a
 :class:`~repro.core.experiments.cache.ShardedCache` — one atomic JSON shard
-per product group, written as results land, so an interrupted campaign
-resumes from its completed shards.  A legacy monolithic ``paper_cache.json``
-migrates automatically on first load.
+per product group.  A campaign journals each product as it lands and
+rewrites each shard once at the end of its stage, so an interrupted
+campaign resumes from its shards plus its journal.  A legacy monolithic
+``paper_cache.json`` migrates automatically on first load.
 """
 
 from __future__ import annotations
@@ -790,8 +791,11 @@ class ReproductionPipeline:
         runs under the pipeline's :class:`~repro.parallel.RetryPolicy` —
         bounded retries with backoff, an optional per-task timeout that
         kills hung workers, and automatic pool respawn after a worker
-        crash — and lands in the sharded cache as it completes, so
-        interrupting the campaign never loses completed work.
+        crash.  Each result is appended to the cache's journal as it
+        lands, before its progress line, so interrupting the campaign never
+        loses completed work; the end of each stage, also one cut short by
+        an exception, rewrites every shard the stage touched once and
+        deletes the journal.
 
         A product's input is the calibration (``impact``/``comp_sig``) or
         its app's baseline (``degradation``/``pair``).  An input missing
@@ -1074,20 +1078,25 @@ class ReproductionPipeline:
         by_key = {descriptor.key: descriptor for descriptor in descriptors}
 
         def land(_index: int, key: str, value: object) -> None:
-            self._cache.put(key, value)
+            # Journaled: on disk before the progress line, in its shard by
+            # the stage-end flush below.
+            self._cache.put(key, value, flush=False)
             progress.advance(key)
 
-        report = run_tasks(
-            run_experiment,
-            descriptors,
-            keys=[descriptor.key for descriptor in descriptors],
-            workers=workers,
-            chunksize=chunksize,
-            policy=self.retry,
-            on_result=land,
-            costs=costs,
-            budget=budget,
-        )
+        try:
+            report = run_tasks(
+                run_experiment,
+                descriptors,
+                keys=[descriptor.key for descriptor in descriptors],
+                workers=workers,
+                chunksize=chunksize,
+                policy=self.retry,
+                on_result=land,
+                costs=costs,
+                budget=budget,
+            )
+        finally:
+            self._cache.flush()
         for record in report.failures:
             record.kind = by_key[record.key].kind
             failures.append(record)

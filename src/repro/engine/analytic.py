@@ -443,7 +443,7 @@ class AnalyticEngine(ClosedFormEngine):
 
     Each product costs one small fixed-point solve instead of millions of
     simulated events: the harness's ``analytic-paper`` workload (a cold
-    330-product paper campaign) runs at 845 products per second at
+    330-product paper campaign) runs at 1 250 products per second at
     reference speed, median of seeds 0–9 (``python3
     benchmarks/harness/bench.py run --workload analytic-paper``).  Use it
     for sweeps, sanity checks, and CI smoke; use the ``sim`` engine when

@@ -267,3 +267,4 @@ def test_fault_plan_corruption_surfaces_as_quarantine(tmp_path):
 def test_group_of_sanitizes():
     assert group_of("degradation/fftw/P1") == "degradation"
     assert group_of("weird key/x") == "weird_key"
+    assert group_of("x" * 300 + "/a") == "x" * 100  # a file name any system takes

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.experiments.cache import RESERVED_FILES, ShardedCache
+from repro.core.experiments.cache import JOURNAL_NAME, RESERVED_FILES, ShardedCache
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_caches.py"
 
@@ -42,3 +42,11 @@ def test_no_shards_at_all_fails(tmp_path, compare):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+
+
+def test_a_side_with_a_journal_fails_as_unfinished(tmp_path, compare, capsys):
+    first, second = _cache(tmp_path / "a"), _cache(tmp_path / "b")
+    ShardedCache(second).put("pair/fftw/mcb", 1.0625, flush=False)  # killed before flush
+    assert compare([str(first), str(second)]) == 1
+    err = capsys.readouterr().err
+    assert f"{second}: {JOURNAL_NAME} present, campaign did not finish" in err
