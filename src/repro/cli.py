@@ -21,8 +21,7 @@ Examples::
     repro fit --registry results/registry             # publish a new version
     repro registry list --registry results/registry
     repro registry promote --registry results/registry --version v0001
-    repro serve --registry results/registry --port 8100 \
-        --http-workers 4 --batch-window 2  # sharded, hot-reloading, batching
+    repro serve --registry results/registry --http-workers 4  # sharded, hot-reloading
     repro registry rollback --registry results/registry  # serving tier flips back
     repro top --cache results/cache      # live view of a campaign in flight
     repro campaign --telemetry --log campaign.jsonl   # structured task logs
@@ -386,22 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         "<cache>/served_model.json for the workers to load)",
     )
     serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="micro-batching window in milliseconds: concurrent /predict "
-        "calls inside one window are coalesced into a single "
-        "predict_batch solve (default 0 = off)",
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=64,
-        metavar="N",
-        help="max coalesced requests per micro-batch solve (default 64)",
-    )
-    serve.add_argument(
         "--stats-dir",
         metavar="DIR",
         help="directory for the per-shard stats rendezvous backing "
@@ -684,7 +667,6 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
         print("repro serve: --model and --registry are mutually exclusive",
               file=sys.stderr)
         return 1
-    batch_window = args.batch_window / 1000.0  # CLI takes milliseconds
     endpoints = (
         "(endpoints: /healthz /models /predict /predict/batch "
         "/metrics /metrics/fleet)"
@@ -706,8 +688,6 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
             port=args.port,
             workers=args.http_workers,
             reload_interval=args.reload_interval,
-            batch_window=batch_window,
-            batch_max_size=args.batch_max,
             stats_dir=args.stats_dir,
             stats_interval=args.stats_interval,
         )
@@ -740,8 +720,6 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
                 host=args.host,
                 port=args.port,
                 reload_interval=args.reload_interval,
-                batch_window=batch_window,
-                batch_max_size=args.batch_max,
                 stats_dir=args.stats_dir,
                 stats_interval=args.stats_interval,
             )
@@ -757,8 +735,6 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
             artifact,
             host=args.host,
             port=args.port,
-            batch_window=batch_window,
-            batch_max_size=args.batch_max,
             stats_dir=args.stats_dir,
             stats_interval=args.stats_interval,
         )

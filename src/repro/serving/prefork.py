@@ -47,8 +47,6 @@ def _worker_main(
     artifact_path: Optional[str],
     registry_root: Optional[str],
     reload_interval: float,
-    batch_window: float,
-    batch_max_size: int,
     telemetry_on: bool,
     stats_dir: Optional[str],
     stats_interval: float,
@@ -68,8 +66,6 @@ def _worker_main(
         port=port,
         registry=ModelRegistry(registry_root) if registry_root else None,
         reload_interval=reload_interval,
-        batch_window=batch_window,
-        batch_max_size=batch_max_size,
         reuse_port=True,
         stats_dir=stats_dir,
         stats_interval=stats_interval,
@@ -106,8 +102,8 @@ class ShardedPredictionServer:
         port: shared port (0 = pick a free one; read it back from
             :attr:`port` after construction).
         workers: worker process count (>= 1).
-        reload_interval / batch_window / batch_max_size: forwarded to every
-            worker's :class:`PredictionServer`.
+        reload_interval: forwarded to every worker's
+            :class:`PredictionServer`.
         stats_dir: shared directory for the per-shard stats rendezvous
             (``/metrics/fleet`` aggregation).  ``None`` (default) creates a
             private temp dir, removed on :meth:`stop`.
@@ -123,8 +119,6 @@ class ShardedPredictionServer:
         port: int = 0,
         workers: int = 2,
         reload_interval: float = 1.0,
-        batch_window: float = 0.0,
-        batch_max_size: int = 64,
         stats_dir: Optional[str | Path] = None,
         stats_interval: float = 2.0,
     ) -> None:
@@ -151,8 +145,6 @@ class ShardedPredictionServer:
             str(artifact_path) if artifact_path else None,
             str(registry_root) if registry_root else None,
             reload_interval,
-            batch_window,
-            batch_max_size,
             telemetry.enabled(),
             str(self.stats_dir),
             stats_interval,

@@ -11,45 +11,50 @@
   (``?app=fftw&other=milc&model=Queue``; ``model`` defaults to all).
 * ``POST /predict``        — same as a JSON body
   (``{"app": ..., "other": ..., "model": ...}``).
-* ``POST /predict/batch``  — ``{"requests": [[app, other, model], ...]}``,
-  scored in one :meth:`~repro.core.models.PredictionEngine.predict_batch`
-  call; ``model`` may be ``null`` or omitted (a 2-tuple) to answer all
-  models, matching ``/predict`` semantics.
+* ``POST /predict/batch``  — ``{"requests": [[app, other, model], ...]}``;
+  ``model`` may be ``null`` or omitted (a 2-tuple) to answer all models,
+  matching ``/predict`` semantics.
 * ``GET  /metrics``        — the telemetry registry's snapshot; JSON by
   default, Prometheus text exposition with ``Accept: text/plain``.
 * ``GET  /metrics/fleet``  — every live shard's snapshot merged via the
   stats-dir rendezvous (see :mod:`repro.serving.fleet`); any shard
   answers for the whole fleet.  Same content negotiation as ``/metrics``.
 
+**The answer table.**  A fitted artifact answers a small, fixed set of
+(app, co-runner, model) triples, so each served version scores all of them
+in one :meth:`~repro.core.models.PredictionEngine.predict_batch` call when
+it loads, and keeps each :class:`~repro.core.models.PairPrediction` with
+its ``/predict/batch`` row already JSON-encoded.  Requests are answered
+from that table: a batch body is the encoded rows joined, byte-identical
+to ``json.dumps(document, sort_keys=True)``.  A request naming any triple
+the table lacks goes whole to the engine, so every error (unknown app,
+co-runner or model) keeps its type, precedence and message.
+
 **Request ids.**  Every response echoes an ``X-Request-Id`` header — the
 client's, if it sent a sane one, otherwise a freshly minted hex id — and
-the same id tags the request's structured log events (request,
-microbatch flush) when ``REPRO_LOG`` is on.
+the same id tags the request's structured log events when ``REPRO_LOG``
+is on.
 
 **Hot reload.**  When constructed over a registry, a daemon watcher thread
 polls the registry's ``CURRENT`` pointer every ``reload_interval`` seconds.
 On a version flip it loads and checksum-verifies the new artifact, fits a
-fresh engine, and swaps the whole ``(artifact, engine, version)`` bundle
-behind a single attribute assignment — atomic under the GIL, so every
-request sees one consistent bundle: in-flight requests finish on the old
-engine, new requests pick up the new one, and zero requests fail across
-the flip.  A damaged artifact never swaps in: the watcher keeps serving
-the old engine and counts ``serving.reload_failures``.
+fresh engine, builds its answer table, and swaps the whole bundle behind a
+single attribute assignment — atomic under the GIL, so every request sees
+one consistent bundle: in-flight requests finish on the old table, new
+requests pick up the new one, and zero requests fail across the flip.  A
+damaged artifact never swaps in: the watcher keeps serving the old
+version and counts ``serving.reload_failures``.
 
-**Micro-batching.**  With ``batch_window > 0``, concurrent ``/predict``
-and ``/predict/batch`` calls are coalesced: the first request in becomes
-the flush leader, sleeps the window, then scores every queued request in
-one ``predict_batch`` solve (numerically identical to the scalar path by
-construction).  All requests in a flush are answered by the same engine
-version.
+**One write.**  The handler buffers its output, so a response's status
+line, headers and body leave in one ``send`` when the request ends.
 
 **Sharding.**  Pass ``reuse_port=True`` to bind with ``SO_REUSEPORT`` so
 multiple server processes can share one port (see
 :mod:`repro.serving.prefork` for the pre-forked front end).
 
 Requests are served by a :class:`ThreadingHTTPServer`; each request reads
-the serving bundle once, and the bundle's fitted state is immutable, so
-concurrent reads need no locking.  With telemetry enabled, every request
+the serving bundle once, and the bundle is immutable, so concurrent reads
+need no locking.  With telemetry enabled, every request
 increments ``serving.requests{endpoint=...,status=...}`` and lands its
 latency in the ``serving.request_seconds{endpoint=...}`` histogram; paths
 that match no route are collapsed to a fixed ``<unknown>`` endpoint label
@@ -58,7 +63,8 @@ so arbitrary client paths cannot explode the label space.
 Bad inputs map to structured JSON errors: unknown apps/models, missing
 fields, malformed bodies, and malformed ``Content-Length`` headers are
 400s carrying the :class:`~repro.errors.ModelError` message, unknown paths
-are 404s.  The process never dies on a bad request.
+are 404s.  The process never dies on a bad request, and a request never
+loses its connection without an answer.
 """
 
 from __future__ import annotations
@@ -72,13 +78,13 @@ import uuid
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import telemetry
 from ..telemetry import logs
 from ..telemetry.exposition import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from ..core.models import PredictionEngine
+from ..core.models import PairPrediction, PredictionEngine
 from ..errors import ModelError, ReproError
 from . import fleet
 from .artifact import ModelArtifact
@@ -98,26 +104,94 @@ UNKNOWN_ENDPOINT = "<unknown>"
 UNVERSIONED = "unversioned"
 
 
+#: A served triple and what it answers: the prediction and its
+#: ``/predict/batch`` row, encoded as ``json.dumps(row, sort_keys=True)``.
+Triple = Tuple[str, str, str]
+Answer = Tuple[PairPrediction, bytes]
+
+
+def _encode_row(prediction: PairPrediction) -> bytes:
+    row = {
+        "app": prediction.app,
+        "other": prediction.other,
+        "model": prediction.model,
+        "predicted": prediction.predicted,
+    }
+    return json.dumps(row, sort_keys=True).encode("utf-8")
+
+
 @dataclass(frozen=True)
 class ServingState:
-    """One immutable (artifact, engine, version) bundle.
+    """One immutable (artifact, engine, version, answer table) bundle.
 
     The server holds exactly one reference to the live bundle; hot reload
-    builds a complete replacement and swaps the reference in a single
-    assignment.  Handlers read the reference once per request, so a request
-    never sees a half-updated mix of old artifact and new engine.
+    builds a complete replacement, answer table included, and swaps the
+    reference in a single assignment.  Handlers read the reference once per
+    request, so a request never sees a half-updated mix of two versions.
     """
 
     artifact: ModelArtifact
     engine: PredictionEngine
     version: str
+    answers: Dict[Triple, Answer]
     loaded_at: float = field(default_factory=time.time)
+
+    @classmethod
+    def load(cls, artifact: ModelArtifact, version: str) -> "ServingState":
+        """Fit ``artifact`` and table every triple its engine answers.
+
+        One ``predict_batch`` call scores every (app, co-runner, model)
+        triple.  If the engine refuses some triple (say, a co-runner
+        signature without the utilization estimate the Queue model needs),
+        each triple is scored alone and only the answered ones are tabled,
+        so a request for another still reaches the engine's error.
+        """
+        engine = artifact.engine()
+        triples = [
+            (app, other, model)
+            for model in engine.model_names
+            for app in artifact.degradations
+            for other in engine.signatures
+        ]
+        try:
+            predictions = engine.predict_batch(triples)
+        except ReproError:
+            predictions = []
+            for triple in triples:
+                try:
+                    predictions += engine.predict_batch([triple])
+                except ReproError:
+                    pass
+        answers = {
+            (p.app, p.other, p.model): (p, _encode_row(p)) for p in predictions
+        }
+        return cls(artifact, engine, version, answers)
+
+    def answer(self, triples: List[Triple]) -> List[Answer]:
+        """The answers to ``triples``, in order, as ``predict_batch`` gives them.
+
+        A request holding any triple the table lacks goes whole to the
+        engine, which raises the error the table would have hidden.
+        """
+        answers = self.answers
+        try:
+            return [answers[triple] for triple in triples]
+        except KeyError:
+            return [
+                (p, _encode_row(p)) for p in self.engine.predict_batch(triples)
+            ]
 
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes one request; the server instance hangs off ``self.server``."""
 
     server: "PredictionServer"  # type: ignore[assignment]
+
+    # Buffer the response so its status line, headers and body leave in one
+    # send: ``handle_one_request`` flushes after each request, and
+    # ``finish`` after the stdlib's own error replies.  64 KiB holds a
+    # paper-sized batch answer (about 13 KB) many times over.
+    wbufsize = 1 << 16
 
     # Silence the default stderr access log — the serving metrics cover it.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
@@ -128,8 +202,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Adopt the client's ``X-Request-Id`` (sanitized) or mint one.
 
         The id is echoed on the response and bound to the handler thread so
-        every structured log event this request causes — including a
-        microbatch flush led from this thread — carries it.
+        every structured log event this request causes carries it.
         """
         raw = self.headers.get("X-Request-Id") or ""
         request_id = "".join(
@@ -179,10 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", getattr(self, "request_id", ""))
         self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
+        self.wfile.write(body)
 
     def _send_json(self, status: int, document: dict, endpoint: str, t0: float) -> None:
         body = json.dumps(document, sort_keys=True).encode("utf-8")
@@ -206,7 +276,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise ModelError("request body must be a JSON object")
         try:
             document = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON, undecodable bytes and
+            # integers past the interpreter's digit limit; RecursionError
+            # covers nesting deeper than the decoder's stack.
             raise ModelError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(document, dict):
             raise ModelError("request body must be a JSON object")
@@ -291,6 +364,14 @@ class _Handler(BaseHTTPRequestHandler):
                 t0,
             )
             return
+        if model is not None and not isinstance(model, str):
+            self._send_json(
+                400,
+                {"error": "'model' must be a model name, or null for all models"},
+                "/predict",
+                t0,
+            )
+            return
         try:
             document = self.server.predict_one(str(app), str(other), model)
         except ReproError as exc:
@@ -321,108 +402,11 @@ class _Handler(BaseHTTPRequestHandler):
                         str(model) if model is not None else None,
                     )
                 )
-            document = self.server.predict_batch(pairs)
+            body = self.server.predict_batch(pairs)
         except ReproError as exc:
             self._send_json(400, {"error": str(exc)}, "/predict/batch", t0)
             return
-        self._send_json(200, document, "/predict/batch", t0)
-
-
-class _BatchSlot:
-    """One waiting request inside the micro-batcher."""
-
-    __slots__ = ("triples", "done", "results", "error")
-
-    def __init__(self, triples: List[Tuple[str, str, str]]) -> None:
-        self.triples = triples
-        self.done = threading.Event()
-        self.results: Optional[list] = None
-        self.error: Optional[BaseException] = None
-
-
-class _MicroBatcher:
-    """Coalesces concurrent predict calls into shared ``predict_batch`` solves.
-
-    The first thread to enqueue into an empty queue becomes the flush
-    leader: it sleeps ``window`` seconds (the coalescing opportunity), then
-    drains the whole queue and scores every queued triple in chunks of at
-    most ``max_size`` requests per engine call.  Followers block on their
-    slot's event.  Every request in one flush is answered by the same
-    :class:`ServingState`, so a hot reload can never split one coalesced
-    batch across two engine versions.
-
-    If a combined solve raises (one request naming an unknown app/model),
-    the flush falls back to scoring each request separately so only the
-    offending request fails — coalescing must never punish innocent
-    neighbours.
-    """
-
-    def __init__(
-        self, server: "PredictionServer", window: float, max_size: int
-    ) -> None:
-        self._server = server
-        self.window = window
-        self.max_size = max(1, int(max_size))
-        self._lock = threading.Lock()
-        self._queue: List[_BatchSlot] = []
-
-    def submit(self, triples: List[Tuple[str, str, str]]) -> list:
-        slot = _BatchSlot(triples)
-        with self._lock:
-            self._queue.append(slot)
-            leader = len(self._queue) == 1
-        if leader:
-            if self.window > 0:
-                time.sleep(self.window)
-            self._flush()
-        slot.done.wait()
-        if slot.error is not None:
-            raise slot.error
-        return slot.results  # type: ignore[return-value]
-
-    def _flush(self) -> None:
-        with self._lock:
-            slots, self._queue = self._queue, []
-        if not slots:  # pragma: no cover - leader always owns >= 1 slot
-            return
-        state = self._server.state
-        if telemetry.enabled():
-            registry = telemetry.registry()
-            registry.counter_inc("serving.microbatch_flushes")
-            registry.observe("serving.microbatch_size", float(len(slots)))
-        if logs.enabled():
-            # Emitted on the flush leader's handler thread, so the event
-            # inherits the leader's bound X-Request-Id.
-            logs.log_event(
-                "serving.microbatch_flush",
-                slots=len(slots),
-                triples=sum(len(slot.triples) for slot in slots),
-                version=state.version,
-            )
-        for chunk_start in range(0, len(slots), self.max_size):
-            chunk = slots[chunk_start : chunk_start + self.max_size]
-            combined = [t for slot in chunk for t in slot.triples]
-            try:
-                predictions = state.engine.predict_batch(combined)
-            except ReproError:
-                # One bad request poisons the combined solve; isolate it.
-                for slot in chunk:
-                    try:
-                        slot.results = state.engine.predict_batch(slot.triples)
-                    except BaseException as exc:  # noqa: BLE001 - handed to waiter
-                        slot.error = exc
-                    slot.done.set()
-                continue
-            except BaseException as exc:  # noqa: BLE001 - handed to waiters
-                for slot in chunk:
-                    slot.error = exc
-                    slot.done.set()
-                continue
-            cursor = 0
-            for slot in chunk:
-                slot.results = predictions[cursor : cursor + len(slot.triples)]
-                cursor += len(slot.triples)
-                slot.done.set()
+        self._finish(200, body, "application/json", "/predict/batch", t0)
 
 
 class PredictionServer(ThreadingHTTPServer):
@@ -438,9 +422,6 @@ class PredictionServer(ThreadingHTTPServer):
             promoted version is loaded at startup and a watcher thread
             follows subsequent promotions/rollbacks.
         reload_interval: seconds between registry pointer polls.
-        batch_window: micro-batching coalescing window in seconds
-            (0 = micro-batching off, the default).
-        batch_max_size: max coalesced requests per engine solve.
         reuse_port: bind with ``SO_REUSEPORT`` so sibling processes can
             share the port (pre-fork sharding).
         stats_dir: directory for the per-pid fleet stats rendezvous (see
@@ -462,8 +443,6 @@ class PredictionServer(ThreadingHTTPServer):
         *,
         registry: Optional[ModelRegistry] = None,
         reload_interval: float = 1.0,
-        batch_window: float = 0.0,
-        batch_max_size: int = 64,
         reuse_port: bool = False,
         stats_dir: "Optional[str | Path]" = None,
         stats_interval: float = 2.0,
@@ -472,29 +451,25 @@ class PredictionServer(ThreadingHTTPServer):
             raise ModelError(
                 "PredictionServer needs exactly one of 'artifact' or 'registry'"
             )
-        self._reuse_port = reuse_port  # consumed by server_bind during init
-        super().__init__((host, port), _Handler)
-        self.registry = registry
-        self.reload_interval = reload_interval
         if registry is not None:
             version, artifact = registry.load_current()
         else:
             assert artifact is not None
             version = str(artifact.metadata.get("version") or UNVERSIONED)
-        self.state = ServingState(
-            artifact=artifact, engine=artifact.engine(), version=version
-        )
+        # Load before binding, so a version that fails to load leaves no
+        # listening socket behind.
+        state = ServingState.load(artifact, version)
+        self._reuse_port = reuse_port  # consumed by server_bind during init
+        super().__init__((host, port), _Handler)
+        self.registry = registry
+        self.reload_interval = reload_interval
+        self.state = state
         self.started_at = time.time()
         self.reloads = 0
         self.reload_failures = 0
         self.last_reload_error: Optional[str] = None
         self._requests_observed = 0
         self._requests_lock = threading.Lock()
-        self._batcher = (
-            _MicroBatcher(self, batch_window, batch_max_size)
-            if batch_window > 0
-            else None
-        )
         self._stop_watcher = threading.Event()
         self._watcher: Optional[threading.Thread] = None
         if registry is not None:
@@ -550,8 +525,8 @@ class PredictionServer(ThreadingHTTPServer):
         """One synchronous reload check; True if a new version swapped in.
 
         Reads the registry pointer; on a flip, verifies and fits the new
-        artifact *before* touching the live bundle, then swaps it in a
-        single attribute assignment.  Any failure — damaged artifact,
+        artifact and builds its answer table *before* touching the live
+        bundle, then swaps it in a single attribute assignment.  Any failure — damaged artifact,
         vanished registry, garbled pointer — leaves the old bundle serving
         and is counted in ``serving.reload_failures``.
         """
@@ -561,10 +536,7 @@ class PredictionServer(ThreadingHTTPServer):
             version = self.registry.current_version()
             if version is None or version == self.state.version:
                 return False
-            artifact = self.registry.verify(version)
-            fresh = ServingState(
-                artifact=artifact, engine=artifact.engine(), version=version
-            )
+            fresh = ServingState.load(self.registry.verify(version), version)
         except (ReproError, OSError) as exc:
             self.reload_failures += 1
             self.last_reload_error = str(exc)
@@ -667,33 +639,29 @@ class PredictionServer(ThreadingHTTPServer):
             "version": state.version,
         }
 
-    def _score(
-        self, state: ServingState, triples: List[Tuple[str, str, str]]
-    ) -> list:
-        if self._batcher is not None:
-            return self._batcher.submit(triples)
-        return state.engine.predict_batch(triples)
-
     def predict_one(self, app: str, other: str, model: Optional[str]) -> dict:
         """One pairing; all models when ``model`` is omitted."""
         state = self.state
         names = [model] if model else state.engine.model_names
-        predictions = self._score(
-            state, [(app, other, name) for name in names]
-        )
+        answers = state.answer([(app, other, name) for name in names])
         return {
             "app": app,
             "other": other,
             "version": state.version,
-            "predictions": {p.model: p.predicted for p in predictions},
+            "predictions": {p.model: p.predicted for p, _row in answers},
         }
 
     def predict_batch(
         self, pairs: Sequence[Tuple[str, str, Optional[str]]]
-    ) -> dict:
-        """Score a batch; entries with ``model=None`` expand to all models."""
+    ) -> bytes:
+        """The ``/predict/batch`` body; ``model=None`` expands to all models.
+
+        The body is joined from the table's encoded rows and equals
+        ``json.dumps({"version": ..., "predictions": [row, ...]},
+        sort_keys=True)`` byte for byte.
+        """
         state = self.state
-        triples: List[Tuple[str, str, str]] = []
+        triples: List[Triple] = []
         for app, other, model in pairs:
             if model is None:
                 triples.extend(
@@ -701,23 +669,20 @@ class PredictionServer(ThreadingHTTPServer):
                 )
             else:
                 triples.append((app, other, model))
-        predictions = self._score(state, triples)
+        answers = state.answer(triples)
         if telemetry.enabled():
             telemetry.registry().counter_inc(
-                "serving.predictions", amount=float(len(predictions))
+                "serving.predictions", amount=float(len(answers))
             )
-        return {
-            "version": state.version,
-            "predictions": [
-                {
-                    "app": p.app,
-                    "other": p.other,
-                    "model": p.model,
-                    "predicted": p.predicted,
-                }
-                for p in predictions
-            ],
-        }
+        return b"".join(
+            (
+                b'{"predictions": [',
+                b", ".join(row for _p, row in answers),
+                b'], "version": ',
+                json.dumps(state.version).encode("utf-8"),
+                b"}",
+            )
+        )
 
     # ------------------------------------------------------------------
     def serve_background(self) -> threading.Thread:

@@ -15,13 +15,13 @@ Off by default.  ``REPRO_LOG`` (or :func:`configure`) selects the sink:
 
 Every record carries ``ts`` (epoch seconds), ``pid``, and ``event``; the
 current request id — set per handler thread via :func:`set_request_id` —
-is attached automatically, which is how microbatch-flush events emitted
-from a leader's thread inherit the leader's ``X-Request-Id``.
+is attached automatically, so every event a request causes carries the
+request's ``X-Request-Id``.
 
 Event vocabulary (see docs/architecture.md for the field schema):
-``serving.request``, ``serving.microbatch_flush``, ``serving.reload``,
-``serving.reload_failed``, ``runner.task_scheduled``,
-``runner.task_completed``, ``runner.task_retry``, ``runner.task_failed``.
+``serving.request``, ``serving.reload``, ``serving.reload_failed``,
+``runner.task_scheduled``, ``runner.task_completed``,
+``runner.task_retry``, ``runner.task_failed``.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ def set_request_id(request_id: Optional[str]) -> None:
     """Bind a request id to the current thread's context (``None`` clears).
 
     Subsequent :func:`log_event` calls on this thread attach it
-    automatically — including events emitted from nested work like a
-    microbatch flush running on the leader's thread.
+    automatically, including events emitted from nested work.
     """
     _request_id.set(request_id)
 
