@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from . import telemetry as telemetry_mod
 from .analysis.report import FIGURES
 from .core.experiments import PipelineSettings, ReproductionPipeline
-from .parallel import RetryPolicy
+from .parallel import RetryPolicy, admit_within_budget
 
 __all__ = ["main", "build_parser"]
 
@@ -51,7 +51,6 @@ _COMMON_DEFAULTS = {
     "cache": "results/cache",
     "legacy_cache": "results/paper_cache.json",
     "workers": None,
-    "chunksize": 1,
     "max_attempts": 2,
     "task_timeout": None,
     "retry_backoff": 0.1,
@@ -114,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=argparse.SUPPRESS,
         help="campaign process count (default: all cores but one)",
-    )
-    common.add_argument(
-        "--chunksize",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="experiments per pool task submission",
     )
     common.add_argument(
         "--max-attempts",
@@ -540,7 +533,6 @@ def _pipeline(
         cache_path=args.cache,
         legacy_cache=args.legacy_cache,
         workers=args.workers,
-        chunksize=args.chunksize,
         retry=RetryPolicy(
             max_attempts=args.max_attempts,
             timeout=args.task_timeout,
@@ -852,24 +844,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raw_keys = [pipeline.raw_key(key) for key in pipeline.product_keys()]
         pending = [raw for raw in raw_keys if not pipeline.has_product(raw)]
         budget = args.measurement_budget
+        costs = cost_model.costs_for(pending)
         by_kind: dict = {}
-        for raw in pending:
-            kind = raw.split("/", 1)[0]
+        for raw, cost in zip(pending, costs):
             entry = by_kind.setdefault(
-                kind, {"count": 0, "unit_cost": cost_model.cost_of(raw), "cost": 0.0}
+                raw.split("/", 1)[0], {"count": 0, "unit_cost": cost, "cost": 0.0}
             )
             entry["count"] += 1
-            entry["cost"] += cost_model.cost_of(raw)
+            entry["cost"] += cost
         total_cost = sum(entry["cost"] for entry in by_kind.values())
-        admitted = len(pending)
-        if budget is not None:
-            spent = 0.0
-            admitted = 0
-            for raw in pending:
-                cost = cost_model.cost_of(raw)
-                if spent + cost <= budget + 1e-9:
-                    spent += cost
-                    admitted += 1
+        admitted = sum(admit_within_budget(costs, budget))
         document = {
             "planner": args.planner or "uncertainty",
             "cost_model": cost_model.to_dict(),

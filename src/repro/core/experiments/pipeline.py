@@ -9,15 +9,22 @@ Reproducing the paper end to end needs ~330 simulation runs:
 * 240 application × CompressionB degradation runs (Fig. 7),
 * 36 application-pair co-runs (Table I, Figs. 8–9).
 
-Every run is a pure function of ``(settings, machine_config, workload)``, so
-the campaign decomposes into picklable :class:`ExperimentDescriptor` s that
-:meth:`ReproductionPipeline.ensure_products` — the one campaign executor,
-behind both :meth:`~ReproductionPipeline.ensure_all` and the adaptive
-planner — fans out through :func:`repro.parallel.run_tasks` in two
-dependency stages (measurements after calibration, then degradations/co-runs
-after baselines), under a
-retry/timeout policy that turns permanent failures into structured
-:class:`~repro.errors.FailureRecord` holes instead of a dead campaign.
+One definition drives every product: :data:`PRODUCT_KINDS` gives each of
+the six kinds its key fields and dependency stage, and :func:`input_of`
+gives each key its input (the calibration for impacts and signatures, the
+app's baseline for degradations and co-runs).  Every run is a pure
+function of its picklable :class:`ExperimentDescriptor`, which
+:meth:`ReproductionPipeline.descriptor_for` alone builds.
+
+Products are reached two ways.  :meth:`ReproductionPipeline.product` — the
+one memo, behind every typed accessor — returns a cached value or runs the
+experiment in this process.  :meth:`ReproductionPipeline.ensure_products`
+— the one campaign executor, behind both
+:meth:`~ReproductionPipeline.ensure_all` and the adaptive planner — fans
+the pending keys out through :func:`repro.parallel.run_tasks` stage by
+stage, under a retry/timeout policy that turns permanent failures into
+structured :class:`~repro.errors.FailureRecord` holes instead of a dead
+campaign.
 
 Products are memoized in memory and, when a cache directory is given, in a
 :class:`~repro.core.experiments.cache.ShardedCache` — one atomic JSON shard
@@ -34,7 +41,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ... import telemetry
 from ...config import MachineConfig, scenario_tag
@@ -59,10 +66,12 @@ from .compression import CompressionObservation
 from .impact import ImpactResult
 
 __all__ = [
+    "PRODUCT_KINDS",
     "PipelineSettings",
     "ReproductionPipeline",
     "ExperimentDescriptor",
     "enforce_failure_budget",
+    "input_of",
     "run_experiment",
 ]
 
@@ -137,6 +146,46 @@ class ExperimentDescriptor:
     label: Optional[str] = None
 
 
+#: The six product kinds, in campaign order.  Each maps to the descriptor
+#: field that each ``/``-separated name of its key fills (so the tuple's
+#: length is the key's arity) and to its dependency stage.  Stages run in
+#: the order they first appear here: everything needs the calibration,
+#: and degradations and co-runs need their app's baseline.
+PRODUCT_KINDS: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "calibration": ((), "calibration"),
+    "impact": (("workload",), "measurements"),
+    "comp_sig": (("comp_config",), "measurements"),
+    "baseline": (("workload",), "measurements"),
+    "degradation": (("workload", "comp_config"), "dependents"),
+    "pair": (("workload", "other"), "dependents"),
+}
+
+
+def _parse(raw: str) -> Tuple[str, List[str]]:
+    """Split a raw key into its kind and names, checking the kind's arity."""
+    kind, *names = raw.split("/")
+    if kind not in PRODUCT_KINDS or len(PRODUCT_KINDS[kind][0]) != len(names):
+        raise ExperimentError(f"unrecognized product key {raw!r}")
+    return kind, names
+
+
+def input_of(raw: str) -> Optional[str]:
+    """The raw key whose value the descriptor of ``raw`` carries, if any.
+
+    Impacts and CompressionB signatures carry the idle calibration;
+    degradations and co-runs carry the measured app's isolated baseline.
+
+    Raises:
+        ExperimentError: ``raw`` is not a well-formed product key.
+    """
+    kind, names = _parse(raw)
+    if kind in ("impact", "comp_sig"):
+        return "calibration"
+    if kind in ("degradation", "pair"):
+        return f"baseline/{names[0]}"
+    return None
+
+
 def run_experiment(descriptor: ExperimentDescriptor) -> object:
     """Execute one descriptor and return its JSON-ready product value.
 
@@ -167,7 +216,7 @@ def run_experiment(descriptor: ExperimentDescriptor) -> object:
     value = engine.run(descriptor)
     # Counted here, not in the driver: the increment happens in whichever
     # process actually executed the experiment, so worker tallies merge
-    # back through the chunk envelope and the campaign-wide count is exact.
+    # back through the task envelope and the campaign-wide count is exact.
     if telemetry.enabled():
         telemetry.registry().counter_inc("pipeline.experiments_completed")
     return value
@@ -303,6 +352,11 @@ class _CampaignProgress:
 class ReproductionPipeline:
     """Runs and caches every experiment the paper's evaluation needs.
 
+    Typed accessors (:meth:`calibration`, :meth:`app_impact`, …) parse the
+    value :meth:`product` returns, computing it in this process when it is
+    missing; campaigns run many products at once through
+    :meth:`ensure_products`, one task per product.
+
     Args:
         settings: campaign knobs.
         machine_config: override the Cab-like default machine.
@@ -320,7 +374,6 @@ class ReproductionPipeline:
             is a legacy file).
         workers: default process count for :meth:`ensure_products` and
             :meth:`ensure_all` (``None`` → all usable cores but one).
-        chunksize: default descriptors per pool task submission.
         retry: per-task retry/timeout/backoff policy for campaign execution
             (``None`` → :class:`~repro.parallel.RetryPolicy`'s defaults:
             two attempts, no timeout).
@@ -348,7 +401,6 @@ class ReproductionPipeline:
         verbose: bool = False,
         legacy_cache: Optional[str | Path] = None,
         workers: Optional[int] = None,
-        chunksize: int = 1,
         retry: Optional[RetryPolicy] = None,
         failure_budget: int = 0,
         telemetry: Optional[bool] = None,
@@ -373,7 +425,6 @@ class ReproductionPipeline:
         self.catalog: List[CompressionConfig] = list(catalog)
         self.verbose = verbose
         self.workers = workers
-        self.chunksize = chunksize
         # Optional[bool]: None defers to the process-wide switch at campaign
         # time (the parameter shadows the telemetry module in this scope).
         self.telemetry = telemetry
@@ -425,23 +476,6 @@ class ReproductionPipeline:
         """Inverse of :meth:`_key`: strip the ``":"``-joined qualifiers."""
         return key.rsplit(":", 1)[-1]
 
-    def _memo(self, key: str, compute: Callable[[], object]) -> object:
-        if key in self._cache:
-            self._note_cache_hit()
-            return self._cache[key]
-        if telemetry.enabled():
-            telemetry.registry().counter_inc("pipeline.cache_misses")
-        start = time.time()
-        value = compute()
-        if self.verbose:
-            print(
-                f"[pipeline] {key}: {time.time() - start:.1f}s",
-                flush=True,
-                file=sys.stderr,
-            )
-        self._cache.put(key, value)
-        return value
-
     @staticmethod
     def _note_cache_hit() -> None:
         if telemetry.enabled():
@@ -483,42 +517,68 @@ class ReproductionPipeline:
         """Whether one raw (unqualified) product key is already cached."""
         return self._key(raw) in self._cache
 
-    def product(self, raw: str) -> object:
-        """The cached value of one raw product key (raises if absent)."""
+    def product(self, raw: str) -> Any:
+        """The value of one raw product key — the one memo.
+
+        A cached value is returned as is.  A missing one is computed in
+        this process from :meth:`descriptor_for` (which fills the key's
+        input through this memo first) and stored in the cache at once, so
+        an engine's own exception (a refusal included) reaches the caller.
+        """
         key = self._key(raw)
-        if key not in self._cache:
-            raise ExperimentError(f"product {raw!r} is not in the cache")
-        return self._cache[key]
+        if key in self._cache:
+            self._note_cache_hit()
+            return self._cache[key]
+        descriptor = self.descriptor_for(raw)
+        if telemetry.enabled():
+            telemetry.registry().counter_inc("pipeline.cache_misses")
+        start = time.time()
+        value = run_experiment(descriptor)
+        if self.verbose:
+            print(
+                f"[pipeline] {key}: {time.time() - start:.1f}s",
+                flush=True,
+                file=sys.stderr,
+            )
+        self._cache.put(key, value)
+        return value
 
     def descriptor_for(self, raw: str) -> ExperimentDescriptor:
-        """Build the descriptor of one raw product key — the planner seam.
+        """Build the descriptor of one raw product key — the one builder.
 
-        Accepts the same unqualified key grammar :meth:`product_keys` emits
+        Accepts the key grammar :meth:`product_keys` emits, unqualified
         (``calibration``, ``impact/<app>|idle``, ``comp_sig/<label>``,
         ``baseline/<app>``, ``degradation/<app>/<label>``,
-        ``pair/<app>/<app>``); engine/scenario qualification happens inside
-        the descriptor builders.  CompressionB labels contain no ``/``, so
+        ``pair/<app>/<app>``): :data:`PRODUCT_KINDS` gives each kind's
+        fields, and the key's input (:func:`input_of`) is filled through
+        :meth:`product`.  CompressionB labels contain no ``/``, so
         splitting on it is unambiguous.
 
         Raises:
             ExperimentError: unknown key shape, application, or catalog
                 label.
         """
-        parts = raw.split("/")
-        kind = parts[0]
-        if raw == "calibration":
-            return self._calibration_descriptor()
-        if kind == "impact" and len(parts) == 2:
-            return self._impact_descriptor(None if parts[1] == "idle" else parts[1])
-        if kind == "comp_sig" and len(parts) == 2:
-            return self._comp_sig_descriptor(self._config(parts[1]))
-        if kind == "baseline" and len(parts) == 2:
-            return self._baseline_descriptor(parts[1])
-        if kind == "degradation" and len(parts) == 3:
-            return self._degradation_descriptor(parts[1], self._config(parts[2]))
-        if kind == "pair" and len(parts) == 3:
-            return self._pair_descriptor(parts[1], parts[2])
-        raise ExperimentError(f"unrecognized product key {raw!r}")
+        kind, names = _parse(raw)
+        fields: Dict[str, object] = {}
+        for field_name, name in zip(PRODUCT_KINDS[kind][0], names):
+            if field_name == "comp_config":
+                fields[field_name] = self._config(name)
+            elif raw != "impact/idle":  # the idle impact probes an empty switch
+                fields[field_name] = self._app(name)
+        if kind == "pair":
+            fields["label"] = names[0]
+        needed = input_of(raw)
+        if needed == "calibration":
+            fields["calibration"] = self.product(needed)
+        elif needed is not None:
+            fields["baseline"] = float(self.product(needed))
+        return ExperimentDescriptor(
+            key=self._key(raw),
+            kind=kind,
+            settings=self.settings,
+            machine_config=self.machine_config,
+            **fields,  # type: ignore[arg-type]
+        )
 
     def _config(self, label: str) -> CompressionConfig:
         for config in self.catalog:
@@ -527,107 +587,23 @@ class ReproductionPipeline:
         raise ExperimentError(f"unknown CompressionB label {label!r}")
 
     # ------------------------------------------------------------------
-    # Descriptor builders
-    # ------------------------------------------------------------------
-    def _calibration_descriptor(self) -> ExperimentDescriptor:
-        return ExperimentDescriptor(
-            key=self._key("calibration"),
-            kind="calibration",
-            settings=self.settings,
-            machine_config=self.machine_config,
-        )
-
-    def _calibration_data(self) -> dict:
-        self.calibration()
-        return self._cache[self._key("calibration")]  # type: ignore[return-value]
-
-    def _impact_descriptor(self, name: Optional[str]) -> ExperimentDescriptor:
-        return ExperimentDescriptor(
-            key=self._key(f"impact/{name}" if name else "impact/idle"),
-            kind="impact",
-            settings=self.settings,
-            machine_config=self.machine_config,
-            workload=self._app(name) if name else None,
-            calibration=self._calibration_data(),
-        )
-
-    def _comp_sig_descriptor(self, config: CompressionConfig) -> ExperimentDescriptor:
-        return ExperimentDescriptor(
-            key=self._key(f"comp_sig/{config.label}"),
-            kind="comp_sig",
-            settings=self.settings,
-            machine_config=self.machine_config,
-            comp_config=config,
-            calibration=self._calibration_data(),
-        )
-
-    def _baseline_descriptor(self, name: str) -> ExperimentDescriptor:
-        return ExperimentDescriptor(
-            key=self._key(f"baseline/{name}"),
-            kind="baseline",
-            settings=self.settings,
-            machine_config=self.machine_config,
-            workload=self._app(name),
-        )
-
-    def _degradation_descriptor(
-        self, name: str, config: CompressionConfig
-    ) -> ExperimentDescriptor:
-        return ExperimentDescriptor(
-            key=self._key(f"degradation/{name}/{config.label}"),
-            kind="degradation",
-            settings=self.settings,
-            machine_config=self.machine_config,
-            workload=self._app(name),
-            comp_config=config,
-            baseline=self.app_baseline(name),
-        )
-
-    def _pair_descriptor(self, measured: str, other: str) -> ExperimentDescriptor:
-        return ExperimentDescriptor(
-            key=self._key(f"pair/{measured}/{other}"),
-            kind="pair",
-            settings=self.settings,
-            machine_config=self.machine_config,
-            workload=self._app(measured),
-            other=self._app(other),
-            baseline=self.app_baseline(measured),
-            label=measured,
-        )
-
-    # ------------------------------------------------------------------
     # Primitive products
     # ------------------------------------------------------------------
     def calibration(self) -> ServiceEstimate:
         """Idle-switch service estimate (µ, Var(S))."""
-        descriptor = self._calibration_descriptor()
-        data = self._memo(descriptor.key, lambda: run_experiment(descriptor))
-        return ServiceEstimate.from_dict(data)  # type: ignore[arg-type]
+        return ServiceEstimate.from_dict(self.product("calibration"))
 
     def idle_signature(self) -> ProbeSignature:
         """The idle switch's probe signature (Fig. 3's 'No App' series)."""
-        data = self._memo(
-            self._key("impact/idle"),
-            lambda: run_experiment(self._impact_descriptor(None)),
-        )
-        return ImpactResult.from_dict(data).signature  # type: ignore[arg-type]
+        return ImpactResult.from_dict(self.product("impact/idle")).signature
 
     def app_impact(self, name: str) -> ImpactResult:
         """Impact experiment on one application (probe signature + ρ)."""
-        self._app(name)  # validate before touching the cache
-        data = self._memo(
-            self._key(f"impact/{name}"),
-            lambda: run_experiment(self._impact_descriptor(name)),
-        )
-        return ImpactResult.from_dict(data)  # type: ignore[arg-type]
+        return ImpactResult.from_dict(self.product(f"impact/{name}"))
 
     def compression_signature(self, config: CompressionConfig) -> CompressionObservation:
         """Signature of one CompressionB config (Fig. 6 point)."""
-        data = self._memo(
-            self._key(f"comp_sig/{config.label}"),
-            lambda: run_experiment(self._comp_sig_descriptor(config)),
-        )
-        return CompressionObservation.from_dict(data)  # type: ignore[arg-type]
+        return CompressionObservation.from_dict(self.product(f"comp_sig/{config.label}"))
 
     def compression_signatures(self) -> List[CompressionObservation]:
         """All catalog configs' signatures."""
@@ -635,17 +611,11 @@ class ReproductionPipeline:
 
     def app_baseline(self, name: str) -> float:
         """Isolated runtime of one application."""
-        descriptor = self._baseline_descriptor(name)
-        return float(self._memo(descriptor.key, lambda: run_experiment(descriptor)))  # type: ignore[arg-type]
+        return float(self.product(f"baseline/{name}"))
 
     def app_degradation(self, name: str, config: CompressionConfig) -> float:
         """% degradation of one app under one CompressionB config (Fig. 7 point)."""
-        key = self._key(f"degradation/{name}/{config.label}")
-        if key in self._cache:
-            self._note_cache_hit()
-            return float(self._cache[key])  # type: ignore[arg-type]
-        descriptor = self._degradation_descriptor(name, config)
-        return float(self._memo(key, lambda: run_experiment(descriptor)))  # type: ignore[arg-type]
+        return float(self.product(f"degradation/{name}/{config.label}"))
 
     def degradation_table(self) -> Dict[str, Dict[str, float]]:
         """Per-app, per-config % degradations for the whole catalog."""
@@ -659,12 +629,7 @@ class ReproductionPipeline:
 
     def pair_slowdown(self, measured: str, other: str) -> float:
         """Measured % slowdown of ``measured`` co-running with ``other``."""
-        key = self._key(f"pair/{measured}/{other}")
-        if key in self._cache:
-            self._note_cache_hit()
-            return float(self._cache[key])  # type: ignore[arg-type]
-        descriptor = self._pair_descriptor(measured, other)
-        return float(self._memo(key, lambda: run_experiment(descriptor)))  # type: ignore[arg-type]
+        return float(self.product(f"pair/{measured}/{other}"))
 
     def measured_pairs(self) -> Dict[Tuple[str, str], float]:
         """All ordered pairs' measured slowdowns (Table I)."""
@@ -679,15 +644,7 @@ class ReproductionPipeline:
     # ------------------------------------------------------------------
     def engine(self) -> PredictionEngine:
         """A prediction engine fitted on this pipeline's products."""
-        signatures = {
-            name: self.app_impact(name).signature for name in self.app_names
-        }
-        return PredictionEngine(
-            observations=self.compression_signatures(),
-            degradations=self.degradation_table(),
-            signatures=signatures,
-            models=default_models(),
-        )
+        return self.model_artifact().engine()
 
     def model_artifact(self):
         """Freeze this pipeline's model inputs into a serializable artifact.
@@ -737,7 +694,6 @@ class ReproductionPipeline:
     def ensure_all(
         self,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         failure_budget: Optional[int] = None,
     ) -> Dict[str, object]:
         """Run (or load) every product of the full evaluation, fault-tolerantly.
@@ -753,7 +709,6 @@ class ReproductionPipeline:
 
         Args:
             workers: process count (``None`` → the pipeline's default).
-            chunksize: descriptors per pool submission (``None`` → default).
             failure_budget: override the pipeline's failure budget.
 
         Returns:
@@ -766,7 +721,6 @@ class ReproductionPipeline:
         stats = self.ensure_products(
             [self.raw_key(key) for key in self.product_keys()],
             workers=workers,
-            chunksize=chunksize,
         )
         enforce_failure_budget(
             stats["failure_records"],  # type: ignore[arg-type]
@@ -778,7 +732,6 @@ class ReproductionPipeline:
         self,
         raw_keys: Sequence[str],
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         costs: Optional[Sequence[float]] = None,
         budget: Optional[float] = None,
     ) -> Dict[str, object]:
@@ -786,9 +739,8 @@ class ReproductionPipeline:
 
         :meth:`ensure_all` calls it with every product; the adaptive
         planner calls it once per round with the subset it chose.  Pending
-        products run in dependency stages: the calibration alone, then
-        impacts/signatures/baselines, then degradations/pairs.  Each task
-        runs under the pipeline's :class:`~repro.parallel.RetryPolicy` —
+        products run in the dependency stages of :data:`PRODUCT_KINDS`, one
+        task per product.  Each task runs under the pipeline's :class:`~repro.parallel.RetryPolicy` —
         bounded retries with backoff, an optional per-task timeout that
         kills hung workers, and automatic pool respawn after a worker
         crash.  Each result is appended to the cache's journal as it
@@ -797,10 +749,9 @@ class ReproductionPipeline:
         an exception, rewrites every shard the stage touched once and
         deletes the journal.
 
-        A product's input is the calibration (``impact``/``comp_sig``) or
-        its app's baseline (``degradation``/``pair``).  An input missing
-        from the cache when its dependent's stage starts is never computed
-        inline; the dependent becomes a hole instead: ``skipped``
+        A product's input (:func:`input_of`) missing from the cache when
+        its dependent's stage starts is never computed inline; the
+        dependent becomes a hole instead: ``skipped``
         (uncharged) if the input was skipped for budget in this call,
         ``unsupported`` if the input was refused, ``dependency`` otherwise.
         A calibration that was attempted and failed permanently — refusals
@@ -829,7 +780,6 @@ class ReproductionPipeline:
             raw_keys: unqualified product keys (see :meth:`descriptor_for`);
                 duplicates are collapsed, first occurrence wins.
             workers: process count (``None`` → the pipeline's default).
-            chunksize: descriptors per pool submission (``None`` → default).
             costs: estimated cost per entry of ``raw_keys`` (default: all
                 zero, i.e. unbudgeted).
             budget: admission ceiling over ``costs`` for this call.
@@ -849,7 +799,6 @@ class ReproductionPipeline:
         count = workers if workers is not None else self.workers
         if count is None:
             count = default_worker_count()
-        chunk = chunksize if chunksize is not None else self.chunksize
         if costs is not None and len(costs) != len(raw_keys):
             raise ExperimentError(
                 f"costs/raw_keys length mismatch: {len(costs)} != {len(raw_keys)}"
@@ -867,16 +816,13 @@ class ReproductionPipeline:
         pending = [raw for raw in cost_of if not self.has_product(raw)]
         for _ in range(len(cost_of) - len(pending)):
             self._note_cache_hit()
-        # Dependency stages: the calibration alone (everything depends on
-        # it), then the measurements, then the baseline-dependent products.
-        stages: List[Tuple[str, int, List[str]]] = [
-            ("calibration", 1, []),
-            ("measurements", count, []),
-            ("dependents", count, []),
-        ]
-        stage_of = {"calibration": 0, "impact": 1, "comp_sig": 1, "baseline": 1}
+        # Dependency stages in table order: the calibration alone (on one
+        # worker), then the measurements, then the baseline-dependent products.
+        stages: Dict[str, List[str]] = {
+            stage: [] for _fields, stage in PRODUCT_KINDS.values()
+        }
         for raw in pending:
-            stages[stage_of.get(raw.split("/")[0], 2)][2].append(raw)
+            stages[PRODUCT_KINDS[_parse(raw)[0]][1]].append(raw)
 
         # The live document only makes sense with telemetry on and a real
         # cache directory to sit next to; a dark campaign pays nothing.
@@ -903,7 +849,7 @@ class ReproductionPipeline:
             progress.publish(force=True, complete=True)
             return report_path, telemetry_path
 
-        for name, stage_workers, raws in stages:
+        for name, raws in stages.items():
             if not raws:
                 continue
             runnable = self._admit_inputs(raws, failures, skipped)
@@ -912,8 +858,7 @@ class ReproductionPipeline:
             with telemetry.span(f"stage:{name}", "pipeline", engine=self.settings.engine):
                 report = self._run_stage(
                     [self.descriptor_for(raw) for raw in runnable],
-                    stage_workers,
-                    chunk,
+                    1 if name == "calibration" else count,
                     progress,
                     failures,
                     transients,
@@ -984,37 +929,31 @@ class ReproductionPipeline:
         outcome = {record.key: record.category for record in failures}
         runnable: List[str] = []
         for raw in raws:
-            parts = raw.split("/")
-            if parts[0] in ("impact", "comp_sig"):
-                needed = "calibration"
-            elif parts[0] in ("degradation", "pair") and len(parts) > 1:
-                needed = f"baseline/{parts[1]}"
-            else:
+            needed = input_of(raw)
+            if needed is None or self.has_product(needed):
                 runnable.append(raw)
                 continue
             needed_key = self._key(needed)
-            if needed_key in self._cache:
-                runnable.append(raw)
-            elif needed_key in skipped:
+            if needed_key in skipped:
                 skipped.append(self._key(raw))
-            else:
-                refused = outcome.get(needed_key) == "unsupported"
-                reason = (
-                    "model refusal upstream"
-                    if refused
-                    else "failed upstream"
-                    if needed_key in outcome
-                    else "not in the cache"
+                continue
+            refused = outcome.get(needed_key) == "unsupported"
+            reason = (
+                "model refusal upstream"
+                if refused
+                else "failed upstream"
+                if needed_key in outcome
+                else "not in the cache"
+            )
+            failures.append(
+                FailureRecord(
+                    key=self._key(raw),
+                    category="unsupported" if refused else "dependency",
+                    message=f"{needed} unavailable ({reason})",
+                    attempts=0,
+                    kind=_parse(raw)[0],
                 )
-                failures.append(
-                    FailureRecord(
-                        key=self._key(raw),
-                        category="unsupported" if refused else "dependency",
-                        message=f"{needed} unavailable ({reason})",
-                        attempts=0,
-                        kind=parts[0],
-                    )
-                )
+            )
         return runnable
 
     def _campaign_meta(
@@ -1066,7 +1005,6 @@ class ReproductionPipeline:
         self,
         descriptors: List[ExperimentDescriptor],
         workers: int,
-        chunksize: int,
         progress: _CampaignProgress,
         failures: List[FailureRecord],
         transients: List[FailureRecord],
@@ -1089,7 +1027,6 @@ class ReproductionPipeline:
                 descriptors,
                 keys=[descriptor.key for descriptor in descriptors],
                 workers=workers,
-                chunksize=chunksize,
                 policy=self.retry,
                 on_result=land,
                 costs=costs,

@@ -9,11 +9,11 @@ workers, and recovery from a broken process pool (respawn, requeue the
 in-flight items).  A task that exhausts its attempts becomes a structured
 :class:`~repro.errors.FailureRecord` instead of taking the campaign down.
 
-One scheduler drives both execution modes.  With one worker (or one task)
-and no timeout it runs in-process, through an executor that runs each
-chunk the moment it is submitted; otherwise through a process pool.
-Retries, backoff, refunds, and failure bookkeeping are the same code
-either way.
+One scheduler drives both execution modes, one task per submission.  With
+one worker (or one task) and no timeout it runs in-process, through an
+executor that runs each task the moment it is submitted; otherwise through
+a process pool.  Retries, backoff, refunds, and failure bookkeeping are
+the same code either way.
 
 Functions and items must be picklable (top-level functions, dataclass
 configs) for the process-pool path.
@@ -41,6 +41,7 @@ from ..errors import (
 
 __all__ = [
     "run_tasks",
+    "admit_within_budget",
     "default_worker_count",
     "RetryPolicy",
     "RunReport",
@@ -48,6 +49,15 @@ __all__ = [
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
+
+#: Backoff growth per further attempt, its ceiling in seconds, and the
+#: fractional jitter added to each delay.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 30.0
+BACKOFF_JITTER = 0.1
+#: Process-pool rebuilds (after crashes or timeout kills) before a run
+#: aborts: past this the environment, not an experiment, is failing.
+MAX_RESPAWNS = 5
 
 
 def _available_cpu_count() -> int:
@@ -84,23 +94,14 @@ class RetryPolicy:
             is killed, the pool respawned, and the task retried.  (With
             ``workers=1`` a configured timeout forces a single-worker pool so
             it can still be enforced.)
-        backoff_base: sleep before the second attempt, in seconds.
-        backoff_factor: multiplier per further attempt (exponential).
-        backoff_max: backoff ceiling in seconds.
-        jitter: fractional jitter added to each backoff, derived
-            deterministically from ``(task key, attempt)`` so reruns behave
-            identically.
-        max_respawns: how many times the process pool may be rebuilt (after
-            crashes or timeout kills) before the run aborts.
+        backoff_base: sleep before the second attempt, in seconds; each
+            further attempt multiplies it by :data:`BACKOFF_FACTOR`, up to
+            :data:`BACKOFF_MAX`.
     """
 
     max_attempts: int = 2
     timeout: Optional[float] = None
     backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    jitter: float = 0.1
-    max_respawns: int = 5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -109,27 +110,24 @@ class RetryPolicy:
             )
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.backoff_max < 0:
-            raise ConfigurationError("invalid backoff parameters")
-        if not 0 <= self.jitter <= 1:
-            raise ConfigurationError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.max_respawns < 0:
+        if self.backoff_base < 0:
             raise ConfigurationError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
+                f"backoff_base must be >= 0, got {self.backoff_base}"
             )
 
     def backoff_delay(self, key: str, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (2-based).
 
-        Exponential in the attempt number with a deterministic jitter seeded
-        from ``(key, attempt)``: two runs of the same campaign back off
-        identically, but different tasks desynchronize.
+        Exponential in the attempt number with a deterministic jitter of up
+        to :data:`BACKOFF_JITTER` seeded from ``(key, attempt)``: two runs
+        of the same campaign back off identically, but different tasks
+        desynchronize.
         """
         if self.backoff_base == 0:
             return 0.0
-        raw = self.backoff_base * self.backoff_factor ** max(0, attempt - 2)
+        raw = self.backoff_base * BACKOFF_FACTOR ** max(0, attempt - 2)
         unit = random.Random(f"{key}:{attempt}").random()
-        return min(self.backoff_max, raw * (1.0 + self.jitter * unit))
+        return min(BACKOFF_MAX, raw * (1.0 + BACKOFF_JITTER * unit))
 
 
 @dataclass
@@ -166,38 +164,38 @@ class RunReport:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _run_chunk(
+def _run_task(
     function: Callable[[ItemT], ResultT],
-    entries: List[Tuple[int, str, int, ItemT]],
+    key: str,
+    attempt: int,
+    item: ItemT,
     capture_telemetry: bool = False,
-) -> Tuple[List[Tuple[int, Optional[ResultT], Optional[str]]], Optional[dict]]:
-    """Worker entry point: run a chunk of ``(index, key, attempt, item)``.
+) -> Tuple[Optional[ResultT], Optional[str], Optional[dict]]:
+    """Worker entry point: run one attempt of one task.
 
-    Per-item exceptions are captured as strings so one bad experiment never
-    poisons its chunk-mates or the pool; only a hard process death (crash
-    fault, segfault, OOM) escapes, surfacing driver-side as a broken pool.
+    The task's exception is captured as a string so one bad experiment
+    never poisons the pool; only a hard process death (crash fault,
+    segfault, OOM) escapes, surfacing driver-side as a broken pool.
 
-    Returns ``(outcomes, telemetry_payload)``.  With ``capture_telemetry``
-    the worker's registry/tracer are reset at chunk start (discarding any
-    state inherited from a fork) and their delta — per-task spans plus
-    whatever the task function itself recorded — is snapshotted into the
-    envelope for the driver to merge; otherwise the payload is ``None``.
+    Returns ``(value, error, telemetry_payload)``.  With
+    ``capture_telemetry`` the worker's registry/tracer are reset first
+    (discarding any state inherited from a fork or an earlier task) and
+    their delta — the task's span plus whatever the task function itself
+    recorded — is snapshotted into the envelope for the driver to merge;
+    otherwise the payload is ``None``.
     """
     if capture_telemetry:
         telemetry.enable()
         telemetry.reset()
-    outcomes: List[Tuple[int, Optional[ResultT], Optional[str]]] = []
-    for index, key, attempt, item in entries:
-        faults.set_current_attempt(attempt)
-        try:
-            with telemetry.span(f"task:{key}", "runner", attempt=attempt):
-                outcomes.append((index, function(item), None))
-        except Exception as exc:
-            outcomes.append((index, None, f"{type(exc).__name__}: {exc}"))
-        finally:
-            faults.set_current_attempt(1)
-    payload = telemetry.snapshot() if capture_telemetry else None
-    return outcomes, payload
+    faults.set_current_attempt(attempt)
+    try:
+        with telemetry.span(f"task:{key}", "runner", attempt=attempt):
+            value, error = function(item), None
+    except Exception as exc:
+        value, error = None, f"{type(exc).__name__}: {exc}"
+    finally:
+        faults.set_current_attempt(1)
+    return value, error, telemetry.snapshot() if capture_telemetry else None
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +284,10 @@ class _Task:
 
 
 class _InProcessExecutor:
-    """The in-process stand-in for the pool: runs each chunk on submission.
+    """The in-process stand-in for the pool: runs each task on submission.
 
     ``submit`` returns an already-completed future, so the scheduler's loop
-    lands the chunk on its next collection.  Nothing here can break or
+    lands the task on its next collection.  Nothing here can break or
     hang-and-be-killed: the pool's respawn and timeout paths never fire.
     """
 
@@ -314,29 +312,24 @@ class _Scheduler:
         function: Callable,
         tasks: List[_Task],
         workers: int,
-        chunksize: int,
         policy: RetryPolicy,
         on_result: Optional[Callable[[int, str, object], None]],
-        report: Optional[RunReport] = None,
+        report: RunReport,
     ) -> None:
         self.function = function
-        self.tasks = {task.index: task for task in tasks}
         self.in_process = (workers == 1 or len(tasks) == 1) and policy.timeout is None
         self.workers = 1 if self.in_process else workers
-        self.chunksize = chunksize
         self.policy = policy
         self.on_result = on_result
-        self.report = report if report is not None else RunReport(results=[None] * len(tasks))
-        # ready: chunks runnable now; waiting: (ready_at, chunk) backoff queue.
-        self.ready: deque = deque()
-        self.waiting: List[Tuple[float, List[_Task]]] = []
-        for start in range(0, len(tasks), chunksize):
-            self.ready.append(tasks[start : start + chunksize])
-        self.in_flight: Dict[Future, Tuple[List[_Task], Optional[float]]] = {}
+        self.report = report
+        # ready: tasks runnable now; waiting: (ready_at, task) backoff queue.
+        self.ready: deque = deque(tasks)
+        self.waiting: List[Tuple[float, _Task]] = []
+        self.in_flight: Dict[Future, Tuple[_Task, Optional[float]]] = {}
         self.pool = None
         # Decided once in the driver: workers only pay for telemetry capture
         # (and ship snapshot envelopes back) when the campaign asked for it.
-        # In-process chunks record straight into the driver's registry,
+        # In-process tasks record straight into the driver's registry,
         # which capture would reset.
         self.capture_telemetry = telemetry.enabled() and not self.in_process
 
@@ -352,10 +345,10 @@ class _Scheduler:
         self.report.pool_respawns += 1
         if telemetry.enabled():
             telemetry.registry().counter_inc("runner.pool_respawns")
-        if self.report.pool_respawns > self.policy.max_respawns:
+        if self.report.pool_respawns > MAX_RESPAWNS:
             raise ExperimentError(
                 f"process pool broke {self.report.pool_respawns} times "
-                f"(max_respawns={self.policy.max_respawns}); aborting — "
+                f"(more than {MAX_RESPAWNS} respawns); aborting — "
                 "the environment, not individual experiments, is failing"
             )
         if self.pool is not None:
@@ -376,7 +369,6 @@ class _Scheduler:
         _record_task_landed(task.key, task.attempt, elapsed)
         if self.on_result is not None:
             self.on_result(task.index, task.key, value)
-        del self.tasks[task.index]
 
     def _fail_attempt(self, task: _Task, category: str, message: str) -> None:
         """Charge one failed attempt; requeue with backoff or record the hole.
@@ -400,7 +392,6 @@ class _Scheduler:
             _record_attempt_failure(
                 task.key, category, terminal=True, attempt=task.attempt, message=message
             )
-            del self.tasks[task.index]
             return
         self.report.transients.append(record)
         delay = self.policy.backoff_delay(task.key, task.attempt + 1)
@@ -413,13 +404,7 @@ class _Scheduler:
             delay=delay,
         )
         task.attempt += 1
-        self.waiting.append((time.monotonic() + delay, [task]))
-
-    def _requeue(self, tasks: List[_Task]) -> None:
-        """Put innocent (killed-through-no-fault) tasks back, uncharged."""
-        live = [task for task in tasks if task.index in self.tasks]
-        if live:
-            self.ready.append(live)
+        self.waiting.append((time.monotonic() + delay, task))
 
     # -- main loop -------------------------------------------------------
     def run(self) -> RunReport:
@@ -440,39 +425,37 @@ class _Scheduler:
     def _promote_waiting(self) -> None:
         now = time.monotonic()
         still_waiting = []
-        for ready_at, chunk in self.waiting:
+        for ready_at, task in self.waiting:
             if ready_at <= now:
-                self.ready.append(chunk)
+                self.ready.append(task)
             else:
-                still_waiting.append((ready_at, chunk))
+                still_waiting.append((ready_at, task))
         self.waiting = still_waiting
 
     def _submit_ready(self) -> None:
         while self.ready and len(self.in_flight) < self.workers:
-            chunk = [task for task in self.ready.popleft() if task.index in self.tasks]
-            if not chunk:
-                continue
-            now = time.monotonic()
-            for task in chunk:
-                task.started = now
-                _record_task_scheduled(task.key, task.attempt)
-            entries = [
-                (task.index, task.key, task.attempt, task.item) for task in chunk
-            ]
+            task = self.ready.popleft()
+            task.started = time.monotonic()
+            _record_task_scheduled(task.key, task.attempt)
             try:
                 future = self.pool.submit(
-                    _run_chunk, self.function, entries, self.capture_telemetry
+                    _run_task,
+                    self.function,
+                    task.key,
+                    task.attempt,
+                    task.item,
+                    self.capture_telemetry,
                 )
             except BrokenProcessPool:
-                self.ready.appendleft(chunk)
+                self.ready.appendleft(task)
                 self._recover_from_broken_pool()
                 continue
             deadline = (
-                now + self.policy.timeout * len(chunk)
+                task.started + self.policy.timeout
                 if self.policy.timeout is not None
                 else None
             )
-            self.in_flight[future] = (chunk, deadline)
+            self.in_flight[future] = (task, deadline)
 
     def _sleep_until_next_waiting(self) -> None:
         if not self.waiting:
@@ -496,37 +479,28 @@ class _Scheduler:
         elif self._settle(done):
             self._recover_from_broken_pool()
 
-    def _chunk_outcomes(self, future: Future) -> List[Tuple[int, object, Optional[str]]]:
-        """Unpack a finished chunk envelope, folding its telemetry delta in."""
-        outcomes, payload = future.result()
-        telemetry.merge_worker(payload)
-        return outcomes
-
     def _settle(self, futures, timed_out: Optional[set] = None) -> bool:
-        """Land or charge finished chunks, removing them from ``in_flight``.
+        """Land or charge finished tasks, removing them from ``in_flight``.
 
-        A chunk that ran lands each outcome; an item that raised is charged
-        its own classified error.  A chunk whose future raised charges each
-        live task one attempt: ``worker-crash`` for a broken pool (the
-        culprit is not identifiable), ``exception`` for a driver-side
-        failure such as an unpicklable result.  After a timeout kill
-        (``timed_out`` given) the chunks that overran are charged a
-        ``timeout`` instead, and bystanders are requeued uncharged.
-        Returns whether the pool broke.
+        A task that ran lands its value, or is charged its own classified
+        error.  A task whose future raised is charged one attempt:
+        ``worker-crash`` for a broken pool (the culprit is not
+        identifiable), ``exception`` for a driver-side failure such as an
+        unpicklable result.  After a timeout kill (``timed_out`` given) the
+        tasks that overran are charged a ``timeout`` instead, and
+        bystanders are requeued uncharged.  Returns whether the pool broke.
         """
         broken = False
         for future in futures:
-            chunk, _deadline = self.in_flight.pop(future)
+            task, _deadline = self.in_flight.pop(future)
             exc = future.exception()  # a broken or killed pool resolves fast
             if exc is None:
-                for index, value, error in self._chunk_outcomes(future):
-                    task = self.tasks.get(index)
-                    if task is None:
-                        continue
-                    if error is None:
-                        self._land(task, value)
-                    else:
-                        self._fail_attempt(task, classify_failure_message(error), error)
+                value, error, payload = future.result()
+                telemetry.merge_worker(payload)
+                if error is None:
+                    self._land(task, value)
+                else:
+                    self._fail_attempt(task, classify_failure_message(error), error)
                 continue
             broken = broken or isinstance(exc, BrokenProcessPool)
             if timed_out is None:
@@ -538,11 +512,9 @@ class _Scheduler:
                 category = "timeout"
                 message = f"exceeded the {self.policy.timeout}s task timeout; worker killed"
             else:
-                self._requeue(chunk)
+                self.ready.append(task)  # killed through no fault of its own
                 continue
-            for task in chunk:
-                if task.index in self.tasks:
-                    self._fail_attempt(task, category, message)
+            self._fail_attempt(task, category, message)
         return broken
 
     def _recover_from_broken_pool(self) -> None:
@@ -559,13 +531,13 @@ class _Scheduler:
         now = time.monotonic()
         guilty = {
             future
-            for future, (_chunk, deadline) in self.in_flight.items()
+            for future, (_task, deadline) in self.in_flight.items()
             if deadline is not None and now >= deadline
         }
         if not guilty:
             return
         # A running future cannot be cancelled: kill the workers, which
-        # breaks the pool, then sort the wreckage — the timed-out chunk is
+        # breaks the pool, then sort the wreckage — the timed-out task is
         # charged a timeout attempt, bystanders are requeued uncharged, and
         # anything that squeaked through before the kill still lands.
         self._kill_pool_processes()
@@ -586,31 +558,25 @@ def _refund_cost(report: RunReport, task: _Task) -> None:
         telemetry.registry().counter_inc("runner.budget_refunded", task.cost)
 
 
-def _admit_for_budget(
-    tasks: List[_Task], budget: Optional[float], report: RunReport
-) -> List[_Task]:
-    """Budget admission control: the scheduling half of the planner seam.
+def admit_within_budget(
+    costs: Sequence[float], budget: Optional[float]
+) -> List[bool]:
+    """Budget admission control: which items a budget admits, in order.
 
-    Tasks are admitted in item order while their estimated cost still fits
-    the remaining budget; a task that does not fit is recorded in
-    ``report.skipped`` (later, cheaper tasks may still be admitted).  The
-    decision is made once, up front, from the deterministic cost estimates
-    — never from wall-clock measurements or completion order — so the same
-    items, costs, and budget always admit the same subset, whatever the
-    worker count.  With ``budget=None`` every task is admitted and
-    ``budget_spent`` simply accumulates the estimated costs.
+    Items are admitted in order while their estimated cost still fits what
+    the items admitted before them left of ``budget``; an item that does
+    not fit is refused, and later, cheaper items may still be admitted.
+    A pure function of the estimates — never of wall-clock measurements or
+    completion order — so the same costs and budget always admit the same
+    subset, whatever the worker count.  ``budget=None`` admits everything.
     """
-    admitted: List[_Task] = []
-    for task in tasks:
-        if budget is not None and report.budget_spent + task.cost > budget + 1e-9:
-            report.skipped.append(task.key)
-            continue
-        admitted.append(task)
-        report.budget_spent += task.cost
-    if report.skipped and telemetry.enabled():
-        telemetry.registry().counter_inc(
-            "runner.tasks_skipped", float(len(report.skipped)), reason="budget"
-        )
+    admitted: List[bool] = []
+    spent = 0.0
+    for cost in costs:
+        fits = budget is None or spent + cost <= budget + 1e-9
+        if fits:
+            spent += cost
+        admitted.append(fits)
     return admitted
 
 
@@ -619,13 +585,15 @@ def run_tasks(
     items: Sequence[ItemT],
     keys: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
-    chunksize: int = 1,
     policy: Optional[RetryPolicy] = None,
     on_result: Optional[Callable[[int, str, object], None]] = None,
     costs: Optional[Sequence[float]] = None,
     budget: Optional[float] = None,
 ) -> RunReport:
     """Run ``function`` over ``items`` fault-tolerantly; never raises per-task.
+
+    Each attempt of each item is one submission, so a task's timeout is
+    its own and a retry resubmits only that item.
 
     Args:
         function: pure task function (must be picklable for workers > 1).
@@ -636,22 +604,17 @@ def run_tasks(
             ``1`` (or a single item) runs in-process **unless** the policy
             sets a timeout (timeouts need a killable worker, so a
             single-worker pool is used instead).
-        chunksize: items per pool submission (amortizes IPC for many small
-            tasks; timeouts scale with chunk length; retries always resubmit
-            individually).
         policy: retry/timeout/backoff knobs (default :class:`RetryPolicy`).
         on_result: called in the driver as each item lands (in completion
             order) with ``(index, key, value)``.
         costs: estimated cost per item, same length as ``items``.  Costs
             accumulate into ``report.budget_spent``; without a ``budget``
             they are purely informational.
-        budget: admission ceiling over ``costs``.  Items are admitted in
-            order while their estimated cost fits the remaining budget;
-            the rest land in ``report.skipped`` with ``results[i] = None``
-            and are never scheduled.  Admission is decided up front from
-            the estimates, so it is deterministic regardless of worker
-            count or completion order.  An item that terminally fails as
-            ``unsupported`` refunds its cost (reported, not re-admitted).
+        budget: admission ceiling over ``costs``
+            (:func:`admit_within_budget`): the items that do not fit land
+            in ``report.skipped`` with ``results[i] = None`` and are never
+            scheduled.  An item that terminally fails as ``unsupported``
+            refunds its cost (reported, not re-admitted).
 
     Returns:
         A :class:`RunReport`: per-item results (``None`` at the holes),
@@ -660,15 +623,13 @@ def run_tasks(
         ``budget_refunded``).
 
     Raises:
-        ConfigurationError: invalid ``workers``/``chunksize``/``keys``/
-            ``costs``/``budget``.
-        ExperimentError: the pool broke more than ``policy.max_respawns``
+        ConfigurationError: invalid ``workers``/``keys``/``costs``/
+            ``budget``.
+        ExperimentError: the pool broke more than :data:`MAX_RESPAWNS`
             times — an environment-level failure no retry can fix.
     """
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if chunksize < 1:
-        raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
     if keys is not None and len(keys) != len(items):
         raise ConfigurationError(
             f"keys/items length mismatch: {len(keys)} != {len(items)}"
@@ -696,15 +657,19 @@ def run_tasks(
     if not tasks:
         return RunReport()
     report = RunReport(results=[None] * len(tasks))
-    tasks = _admit_for_budget(tasks, budget, report)
+    fits = admit_within_budget([task.cost for task in tasks], budget)
+    report.skipped = [task.key for task, fit in zip(tasks, fits) if not fit]
+    tasks = [task for task, fit in zip(tasks, fits) if fit]
+    report.budget_spent = sum((task.cost for task in tasks), 0.0)
+    if report.skipped and telemetry.enabled():
+        telemetry.registry().counter_inc(
+            "runner.tasks_skipped", float(len(report.skipped)), reason="budget"
+        )
     if not tasks:
         return report
-    scheduler = _Scheduler(
-        function, tasks, count, chunksize, policy, on_result, report=report
-    )
+    scheduler = _Scheduler(function, tasks, count, policy, on_result, report)
     if telemetry.enabled():
         registry = telemetry.registry()
         registry.counter_inc("runner.tasks_submitted", float(len(tasks)))
         registry.gauge_max("runner.workers", float(scheduler.workers))
     return scheduler.run()
-

@@ -133,7 +133,7 @@ class PlannedCampaign:
         stability_tol: |Δ holdout error| (percentage points) under which a
             round counts as stable.
         patience: consecutive stable rounds required to stop.
-        workers / chunksize: forwarded to ``ensure_products``.
+        workers: forwarded to ``ensure_products``.
         cost_model: override the settings-derived cost estimates (e.g. one
             calibrated from a previous campaign's ``telemetry.json``).
         failure_budget: non-``unsupported`` permanent failures tolerated
@@ -150,7 +150,6 @@ class PlannedCampaign:
         stability_tol: float = 0.25,
         patience: int = 2,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
         failure_budget: Optional[int] = None,
     ) -> None:
@@ -180,7 +179,6 @@ class PlannedCampaign:
         self.stability_tol = stability_tol
         self.patience = patience
         self.workers = workers
-        self.chunksize = chunksize
         self.cost_model = (
             cost_model
             if cost_model is not None
@@ -378,7 +376,6 @@ class PlannedCampaign:
         stats = self.pipeline.ensure_products(
             keys,
             workers=self.workers,
-            chunksize=self.chunksize,
             costs=self.cost_model.costs_for(keys),
             budget=remaining,
         )

@@ -15,19 +15,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence
 
+from ..core.experiments.pipeline import PRODUCT_KINDS
 from ..errors import ConfigurationError
 
 __all__ = ["PRODUCT_KINDS", "CostModel"]
-
-#: Every product kind the pipeline can emit, in campaign order.
-PRODUCT_KINDS = (
-    "calibration",
-    "impact",
-    "comp_sig",
-    "baseline",
-    "degradation",
-    "pair",
-)
 
 #: Relative weight of each kind on top of its base duration: stage-two
 #: products co-run two workloads, so they cost roughly twice a solo run.

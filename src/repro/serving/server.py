@@ -63,8 +63,9 @@ so arbitrary client paths cannot explode the label space.
 Bad inputs map to structured JSON errors: unknown apps/models, missing
 fields, malformed bodies, and malformed ``Content-Length`` headers are
 400s carrying the :class:`~repro.errors.ModelError` message, unknown paths
-are 404s.  The process never dies on a bad request, and a request never
-loses its connection without an answer.
+are 404s, and a body that does not arrive within the handler's socket
+timeout is a 408 that closes the connection.  The process never dies on a
+bad request, and a request never loses its connection without an answer.
 """
 
 from __future__ import annotations
@@ -192,6 +193,12 @@ class _Handler(BaseHTTPRequestHandler):
     # ``finish`` after the stdlib's own error replies.  64 KiB holds a
     # paper-sized batch answer (about 13 KB) many times over.
     wbufsize = 1 << 16
+
+    # Seconds a socket read or write may block.  Without it a client whose
+    # Content-Length promises more bytes than it sends holds its handler
+    # thread until shutdown; with it, such a body gets a 408, and an idle
+    # keep-alive connection is closed by the stdlib's own timeout handling.
+    timeout = 10.0
 
     # Silence the default stderr access log — the serving metrics cover it.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
@@ -337,19 +344,30 @@ class _Handler(BaseHTTPRequestHandler):
         t0 = time.perf_counter()
         self._begin_request()
         url = urlparse(self.path)
-        if url.path == "/predict":
-            try:
-                body = self._read_body()
-            except ModelError as exc:
-                self._send_json(400, {"error": str(exc)}, "/predict", t0)
-                return
-            self._predict(body, t0)
-        elif url.path == "/predict/batch":
-            self._predict_batch(t0)
-        else:
+        if url.path not in ("/predict", "/predict/batch"):
             self._send_json(
                 404, {"error": f"unknown path {url.path!r}"}, UNKNOWN_ENDPOINT, t0
             )
+            return
+        try:
+            body = self._read_body()
+        except TimeoutError:
+            # What did arrive is unframed, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_json(
+                408,
+                {"error": f"request body did not arrive within {self.timeout}s"},
+                url.path,
+                t0,
+            )
+            return
+        except ModelError as exc:
+            self._send_json(400, {"error": str(exc)}, url.path, t0)
+            return
+        if url.path == "/predict":
+            self._predict(body, t0)
+        else:
+            self._predict_batch(body, t0)
 
     # ------------------------------------------------------------------
     def _predict(self, request: dict, t0: float) -> None:
@@ -379,9 +397,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_json(200, document, "/predict", t0)
 
-    def _predict_batch(self, t0: float) -> None:
+    def _predict_batch(self, body: dict, t0: float) -> None:
         try:
-            body = self._read_body()
             requests = body.get("requests")
             if not isinstance(requests, list):
                 raise ModelError(

@@ -21,11 +21,11 @@ Enablement:
   ``telemetry=`` knob and the CLI's ``--telemetry`` flag call);
 * environment — ``REPRO_TELEMETRY=1`` turns it on at import time (and is
   how spawned pool workers can inherit the setting; forked workers inherit
-  the flag directly, and the chunk protocol re-enables explicitly either
+  the flag directly, and the task protocol re-enables explicitly either
   way).
 
 Worker processes accumulate into their own registry/tracer copies; the
-parallel runner resets them per chunk, snapshots the delta, and ships it
+parallel runner resets them per task, snapshots the delta, and ships it
 back in the result envelope for the driver to :func:`merge_worker`.
 """
 

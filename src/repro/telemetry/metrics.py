@@ -254,7 +254,7 @@ class MetricsRegistry:
             self._histograms = merged["histograms"]  # type: ignore[assignment]
 
     def reset(self) -> None:
-        """Drop every instrument (workers call this at chunk start)."""
+        """Drop every instrument (workers call this at task start)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()

@@ -7,10 +7,15 @@ always free, and a deterministic model refusal refunds its cost — a
 refusal is knowledge, not a spent experiment.
 """
 
+import json
+
 import pytest
 
+from repro.cli import main
+from repro.core.experiments import PipelineSettings, ReproductionPipeline
 from repro.errors import AnalyticModelError, ConfigurationError
 from repro.parallel import RetryPolicy, run_tasks
+from repro.planner import CostModel
 
 
 def _double(x):
@@ -156,3 +161,25 @@ def test_everything_skipped_returns_without_running():
     assert report.results == [None, None]
     assert len(report.skipped) == 2
     assert report.budget_spent == 0.0
+
+
+@pytest.mark.parametrize("budget", [0.05, 0.5, 1.3, 3.0, 100.0])
+def test_plan_preview_admits_what_run_tasks_admits(tmp_path, capsys, budget):
+    # `repro plan` previews admission over every pending product at once;
+    # the runner, given the same costs and budget, must admit as many.
+    cache = str(tmp_path / "cache")
+    argv = ["--engine", "analytic", "--profile", "quick", "--cache", cache]
+    argv += ["--legacy-cache", "", "plan", "--measurement-budget", str(budget), "--json"]
+    assert main(argv) == 0
+    preview = json.loads(capsys.readouterr().out)
+
+    pipeline = ReproductionPipeline(
+        settings=PipelineSettings(profile="quick", engine="analytic"), cache_path=cache
+    )
+    raws = [pipeline.raw_key(key) for key in pipeline.product_keys()]
+    costs = CostModel.from_settings(pipeline.settings).costs_for(raws)
+    report = run_tasks(
+        _double, list(range(len(raws))), keys=raws, workers=1, costs=costs, budget=budget
+    )
+    assert preview["pending"] == len(raws)
+    assert preview["budget_admits"] == len(raws) - len(report.skipped)

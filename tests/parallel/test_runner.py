@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.parallel import RetryPolicy, default_worker_count, run_tasks
+from repro.parallel.runner import BACKOFF_FACTOR, BACKOFF_JITTER, BACKOFF_MAX, MAX_RESPAWNS
 
 
 def _square(x):
@@ -76,14 +77,9 @@ def test_invalid_workers_rejected():
         run_tasks(_square, [1], workers=0)
 
 
-def test_invalid_chunksize_rejected():
-    with pytest.raises(ConfigurationError):
-        run_tasks(_square, [1], chunksize=0)
-
-
 def test_process_pool_path():
     """Runs through the pool when workers > 1 and multiple items exist."""
-    report = run_tasks(_square_and_pid, list(range(8)), workers=2, chunksize=2)
+    report = run_tasks(_square_and_pid, list(range(8)), workers=2)
     assert [square for square, _pid in report.results] == [x * x for x in range(8)]
     assert os.getpid() not in {pid for _square, pid in report.results}
 
@@ -228,14 +224,14 @@ def test_worker_crash_respawns_pool_and_retries(tmp_path):
 
 
 def test_respawn_budget_aborts_run():
-    # A crash on every attempt exhausts max_respawns: that is an
+    # A crash on every attempt exhausts MAX_RESPAWNS: that is an
     # environment-level failure, so the run raises instead of looping.
-    with pytest.raises(ExperimentError, match="max_respawns"):
+    with pytest.raises(ExperimentError, match=f"more than {MAX_RESPAWNS} respawns"):
         run_tasks(
             _always_crash,
             [0, 1],
             workers=2,
-            policy=RetryPolicy(max_attempts=10, backoff_base=0.0, max_respawns=1),
+            policy=RetryPolicy(max_attempts=MAX_RESPAWNS + 5, backoff_base=0.0),
         )
 
 
@@ -243,12 +239,14 @@ def test_respawn_budget_aborts_run():
 # RetryPolicy
 # ----------------------------------------------------------------------
 def test_backoff_is_deterministic_and_bounded():
-    policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0, backoff_max=3.0)
+    policy = RetryPolicy(backoff_base=0.5)
     first = policy.backoff_delay("pair/a/b", 2)
     assert first == policy.backoff_delay("pair/a/b", 2)  # same (key, attempt)
+    assert 0.5 <= first <= 0.5 * (1 + BACKOFF_JITTER)
     assert policy.backoff_delay("pair/a/b", 3) != first  # attempts desync
     assert policy.backoff_delay("pair/c/d", 2) != first  # keys desync
-    assert policy.backoff_delay("pair/a/b", 20) == 3.0  # ceiling
+    assert 0.5 * BACKOFF_FACTOR <= policy.backoff_delay("pair/a/b", 3)
+    assert policy.backoff_delay("pair/a/b", 20) == BACKOFF_MAX  # ceiling
     assert RetryPolicy(backoff_base=0.0).backoff_delay("k", 2) == 0.0
 
 
@@ -259,9 +257,6 @@ def test_backoff_is_deterministic_and_bounded():
         {"timeout": 0.0},
         {"timeout": -1.0},
         {"backoff_base": -0.1},
-        {"backoff_factor": 0.5},
-        {"jitter": 1.5},
-        {"max_respawns": -1},
     ],
 )
 def test_retry_policy_validation(kwargs):

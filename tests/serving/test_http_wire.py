@@ -7,13 +7,16 @@ dropped connection is seen as such.  Every request must get a status line
 
 import json
 import socket
+import time
 from urllib.parse import quote, urlencode
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.serving import ModelArtifact, PredictionServer
+from repro.serving.server import _Handler
 
 from .conftest import make_catalog
 
@@ -203,3 +206,40 @@ def test_a_response_leaves_in_one_write(server, monkeypatch):
     response = _exchange(server, _request("POST", "/predict/batch", body))
     assert _status(response) == 200
     assert writes == [response]
+
+
+# ----------------------------------------------------------------------
+# A slow client: a body that never arrives in full
+# ----------------------------------------------------------------------
+def test_a_short_body_times_out_with_a_408(server, monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        head = (
+            "POST /predict HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            "Content-Length: 100\r\n\r\n"
+        )
+        address = ("127.0.0.1", server.server_port)
+        with socket.create_connection(address, timeout=3) as sock:
+            start = time.monotonic()
+            sock.sendall(head.encode("latin-1") + b"{}")
+            chunks = []
+            while True:  # the server closes the connection after the reply
+                chunk = sock.recv(1 << 16)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            elapsed = time.monotonic() - start
+        response = b"".join(chunks)
+        assert _status(response) == 408
+        assert elapsed < 3
+        assert b"did not arrive" in response
+        count = telemetry.registry().counter_value(
+            "serving.requests", endpoint="/predict", status=408
+        )
+        assert count == 1.0
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert _status(_exchange(server, _request("GET", "/healthz"))) == 200

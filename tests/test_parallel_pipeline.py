@@ -73,7 +73,7 @@ class _Boom(Workload):
 def test_run_tasks_pool_matches_in_process_bitwise():
     items = [0.1 * i for i in range(12)]
     in_process = run_tasks(_burn, items, workers=1)
-    pooled = run_tasks(_burn, items, workers=2, chunksize=3)
+    pooled = run_tasks(_burn, items, workers=2)
     assert in_process.failures == pooled.failures == []
     assert in_process.results == pooled.results  # float equality: bit-identical
 
