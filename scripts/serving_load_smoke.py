@@ -13,7 +13,9 @@ surfaces, in one process:
 3. Serve the registry with a fast CURRENT-pointer watcher and drive
    sustained concurrent load from N client threads.
 4. ``repro registry promote v2`` *mid-load*, then keep the load running.
-5. Serve the ``v2`` artifact with telemetry on and fire a fixed load from
+5. Garble ``CURRENT`` mid-load (a pointer nested 100 000 deep), then
+   ``repro registry promote v1``, which rewrites the pointer.
+6. Serve the ``v2`` artifact with telemetry on and fire a fixed load from
    ``SUSTAINED_THREADS`` client threads: every 4th request a 24-triple
    ``/predict/batch``, the rest single ``/predict`` calls.
 
@@ -21,7 +23,9 @@ Asserts: zero failed requests across the flip, every client thread's
 observed version stream flips ``v1 -> v2`` exactly once (never back), the
 server records exactly one reload, and post-flip predictions are
 bit-identical to an engine rebuilt from the registry's ``v2`` artifact.
-Under the fixed load: zero failed requests, at least
+Across the garbled pointer: zero failed requests, ``/healthz`` still on
+``v2`` with ``reload_failures`` >= 1 and ``last_reload_error`` set, then
+one flip to ``v1``.  Under the fixed load: zero failed requests, at least
 ``THROUGHPUT_FLOOR_RPS`` requests per second, and a ``/predict`` p99 of at
 most ``P99_CEILING_SECONDS`` both client-side and from the server's
 ``serving.request_seconds`` histogram, which counts exactly the
@@ -72,6 +76,57 @@ def post(port: int, path: str, document: dict) -> dict:
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return json.loads(response.read())
+
+
+def wait_for(predicate, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise SystemExit(f"server never showed {what}")
+        time.sleep(0.01)
+
+
+def under_load(port: int, apps: list, threads: int, settle: float, action) -> tuple:
+    """Run ``action()`` while ``threads`` clients call ``/predict`` in a loop.
+
+    Load runs ``settle`` seconds before and after the action.  Returns the
+    request count and each client's stream of served versions; exits
+    non-zero if any request failed.
+    """
+    stop = threading.Event()
+    failures: list = []
+    versions_per_thread: list = []
+
+    def client(index: int) -> int:
+        made = 0
+        seen: list = []
+        while not stop.is_set():
+            app = apps[(index + made) % len(apps)]
+            other = apps[(index + made + 1) % len(apps)]
+            try:
+                document = get(port, f"/predict?app={app}&other={other}")
+            except Exception as exc:  # noqa: BLE001 - recorded, asserted empty
+                failures.append(repr(exc))
+                continue
+            finally:
+                made += 1
+            if not seen or seen[-1] != document["version"]:
+                seen.append(document["version"])
+        versions_per_thread.append(seen)
+        return made
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = [pool.submit(client, i) for i in range(threads)]
+        try:
+            time.sleep(settle)
+            action()
+            time.sleep(settle)
+        finally:
+            stop.set()
+        made = sum(worker.result(timeout=30) for worker in workers)
+    if failures:
+        raise SystemExit(f"{len(failures)} requests failed under load: {failures[:5]}")
+    return made, versions_per_thread
 
 
 def sustained_load(artifact) -> str:
@@ -193,52 +248,28 @@ def main() -> int:
     server.serve_background()
     port = server.server_port
     apps = get(port, "/healthz")["apps"]
-    stop = threading.Event()
-    failures: list = []
-    versions_per_thread: list = []
 
-    def client(index: int) -> int:
-        made = 0
-        seen: list = []
-        while not stop.is_set():
-            app = apps[(index + made) % len(apps)]
-            other = apps[(index + made + 1) % len(apps)]
-            try:
-                document = get(port, f"/predict?app={app}&other={other}")
-            except Exception as exc:  # noqa: BLE001 - recorded, asserted empty
-                failures.append(repr(exc))
-                continue
-            finally:
-                made += 1
-            if not seen or seen[-1] != document["version"]:
-                seen.append(document["version"])
-        versions_per_thread.append(seen)
-        return made
+    def promote(version: str) -> None:
+        """Promote through the CLI like an operator; wait for the flip."""
+        run_cli(
+            "registry", "promote", "--registry", str(registry_root),
+            "--version", version,
+        )
+        wait_for(lambda: server.state.version == version, f"the {version} promotion")
+
+    def garble_then_heal() -> None:
+        registry.pointer_path.write_bytes(b"[" * 100_000)
+        wait_for(lambda: server.reload_failures >= 1, "a counted reload failure")
+        health = get(port, "/healthz")
+        if health["version"] != "v2" or not health["last_reload_error"]:
+            raise SystemExit(f"a garbled pointer changed the served state: {health}")
+        promote("v1")
 
     try:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=args.threads
-        ) as pool:
-            workers = [pool.submit(client, i) for i in range(args.threads)]
-            time.sleep(args.settle)
-            # 4. The mid-load promotion, through the CLI like an operator.
-            run_cli(
-                "registry", "promote", "--registry", str(registry_root),
-                "--version", "v2",
-            )
-            deadline = time.monotonic() + 10.0
-            while server.state.version != "v2":
-                if time.monotonic() > deadline:
-                    raise SystemExit("server never picked up the v2 promotion")
-                time.sleep(0.01)
-            time.sleep(args.settle)
-            stop.set()
-            made = sum(worker.result(timeout=30) for worker in workers)
-
-        if failures:
-            raise SystemExit(
-                f"{len(failures)} requests failed across the flip: {failures[:5]}"
-            )
+        # 4. The mid-load promotion.
+        made, versions_per_thread = under_load(
+            port, apps, args.threads, args.settle, lambda: promote("v2")
+        )
         for seen in versions_per_thread:
             if seen not in (["v1", "v2"], ["v1"], ["v2"]):
                 raise SystemExit(f"version stream flapped: {seen}")
@@ -257,6 +288,17 @@ def main() -> int:
             for model, predicted in document["predictions"].items():
                 expected = v2_engine.predict(app, other, model)
                 assert predicted == expected, (app, other, model)
+
+        # 5. The garbled-pointer drill.
+        drilled, drill_versions = under_load(
+            port, apps, args.threads, args.settle, garble_then_heal
+        )
+        for seen in drill_versions:
+            if seen not in (["v2", "v1"], ["v2"], ["v1"]):
+                raise SystemExit(f"version stream flapped across the drill: {seen}")
+        health = get(port, "/healthz")
+        if health["reloads"] != 2 or health["last_reload_error"] is not None:
+            raise SystemExit(f"expected the v1 promotion to heal the pointer: {health}")
     finally:
         server.shutdown()
         server.server_close()
@@ -267,7 +309,12 @@ def main() -> int:
         f"{flipped} thread(s) observed the v1->v2 flip; exactly 1 reload; "
         "post-flip predictions bit-identical to the re-loaded v2 artifact"
     )
-    # 5. Fixed load on the promoted artifact, against the floors.
+    print(
+        f"OK: garbled CURRENT under load: {drilled} requests, 0 failures; "
+        f"{health['reload_failures']} reload failure(s) counted on v2, then "
+        "`repro registry promote v1` healed the pointer"
+    )
+    # 6. Fixed load on the promoted artifact, against the floors.
     print(f"OK: {sustained_load(registry.load('v2'))}")
     return 0
 

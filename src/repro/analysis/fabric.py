@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Tuple
 
+from .. import jsonfile
 from ..config import scenario_tag
 from ..errors import ExperimentError
 from .errors import ErrorSummary, error_summaries
@@ -131,7 +132,4 @@ def write_fabric_report(comparison: Dict[str, object], path: str | Path) -> Path
         "fabric": _flatten(comparison["fabric"]),
         "delta": comparison["delta"],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return jsonfile.write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -36,9 +36,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import jsonfile
 from . import telemetry as telemetry_mod
 from .analysis.report import FIGURES
 from .core.experiments import PipelineSettings, ReproductionPipeline
+from .errors import ConfigurationError, CorruptDocument
 from .parallel import RetryPolicy, admit_within_budget
 
 __all__ = ["main", "build_parser"]
@@ -384,15 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "/metrics/fleet (default: a private temp dir when sharded, "
         "standalone fleet-of-one otherwise)",
     )
-    serve.add_argument(
-        "--stats-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between periodic per-shard stats publishes "
-        "(default 2.0; shards also publish before answering "
-        "/metrics/fleet and /healthz)",
-    )
 
     top = command("top", "live view of a running campaign (tails telemetry.live.json)")
     top.add_argument(
@@ -473,9 +466,11 @@ def _parse_faults(spec: str):
     Accepts a preset name from :data:`repro.cluster.FAULT_SCENARIOS`,
     inline JSON (one rule object or a list of them), or ``@path`` to a
     JSON file with the same shape.
-    """
-    import json as json_mod
 
+    Raises:
+        ConfigurationError: for an unknown preset or an invalid rule.
+        CorruptDocument: if the JSON cannot be read or decoded.
+    """
     from .cluster import FAULT_SCENARIOS, fault_scenario
     from .config import LinkFaultConfig
 
@@ -483,19 +478,19 @@ def _parse_faults(spec: str):
     if not spec:
         return ()
     if spec.startswith("@"):
-        spec = Path(spec[1:]).read_text().strip()
-    if spec.startswith(("[", "{")):
-        data = json_mod.loads(spec)
-        if isinstance(data, dict):
-            data = [data]
-        return tuple(LinkFaultConfig.from_dict(rule) for rule in data)
-    if spec in FAULT_SCENARIOS:
+        data = jsonfile.read(spec[1:], f"fault spec {spec[1:]}")
+    elif spec.startswith(("[", "{")):
+        data = jsonfile.parse(spec, "fault spec")
+    elif spec in FAULT_SCENARIOS:
         return fault_scenario(spec)
-    raise SystemExit(
-        f"repro: unknown fault scenario {spec!r}; "
-        f"known presets: {', '.join(sorted(FAULT_SCENARIOS))} "
-        "(or pass inline JSON / @file.json)"
-    )
+    else:
+        raise ConfigurationError(
+            f"unknown fault scenario {spec!r}; "
+            f"known presets: {', '.join(sorted(FAULT_SCENARIOS))} "
+            "(or pass inline JSON / @file.json)"
+        )
+    rules = data if isinstance(data, list) else [data]
+    return tuple(LinkFaultConfig.from_dict(rule) for rule in rules)
 
 
 def _machine_config(args: argparse.Namespace):
@@ -681,7 +676,6 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
             workers=args.http_workers,
             reload_interval=args.reload_interval,
             stats_dir=args.stats_dir,
-            stats_interval=args.stats_interval,
         )
         sharded.start()
         print(
@@ -713,7 +707,6 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
                 port=args.port,
                 reload_interval=args.reload_interval,
                 stats_dir=args.stats_dir,
-                stats_interval=args.stats_interval,
             )
         except (RegistryError, ArtifactError) as exc:
             print(f"repro serve: {exc}", file=sys.stderr)
@@ -728,7 +721,6 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
             host=args.host,
             port=args.port,
             stats_dir=args.stats_dir,
-            stats_interval=args.stats_interval,
         )
     state = server.state
     print(
@@ -749,6 +741,16 @@ def _serve_main(args: argparse.Namespace, pipeline) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigurationError, CorruptDocument) as exc:
+        # Bad input, such as a --faults spec or a torn telemetry.json:
+        # one line on stderr, no traceback.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     for key, value in _COMMON_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
@@ -820,9 +822,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=human,
         )
         if args.plan_out:
-            Path(args.plan_out).write_text(
-                json.dumps(result.trace_document(), indent=2, sort_keys=True)
-                + "\n"
+            jsonfile.write_text(
+                args.plan_out,
+                json.dumps(result.trace_document(), indent=2, sort_keys=True) + "\n",
             )
             print(f"plan trace written to {args.plan_out}", file=human)
         if args.json:
@@ -939,7 +941,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         document = load_report(path)
         if args.trace_out:
             trace = trace_from_report(document)
-            Path(args.trace_out).write_text(json.dumps(trace) + "\n")
+            jsonfile.write_text(args.trace_out, json.dumps(trace) + "\n")
             print(
                 f"wrote Chrome trace ({len(trace['traceEvents'])} events) to "
                 f"{args.trace_out} — open in https://ui.perfetto.dev",

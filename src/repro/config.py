@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 from .errors import ConfigurationError
@@ -31,6 +33,22 @@ __all__ = [
     "Scale",
     "scenario_tag",
 ]
+
+
+#: The numeric fields of a :class:`LinkFaultConfig`.
+_LINK_FAULT_NUMBERS = ("drop_probability", "corrupt_probability", "speed_factor")
+
+
+def _finite(value: object, name: str) -> float:
+    """``value`` as a finite float; ConfigurationError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +85,10 @@ class LinkFaultConfig:
     down: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.link:
-            raise ConfigurationError("link pattern must be non-empty")
+        if not isinstance(self.link, str) or not self.link:
+            raise ConfigurationError("link pattern must be a non-empty string")
+        for name in _LINK_FAULT_NUMBERS:
+            _finite(getattr(self, name), name)
         if not 0.0 <= self.drop_probability < 1.0:
             raise ConfigurationError(
                 f"drop_probability must be in [0, 1), got {self.drop_probability}"
@@ -85,14 +105,19 @@ class LinkFaultConfig:
             raise ConfigurationError(
                 f"speed_factor must be positive, got {self.speed_factor}"
             )
-        object.__setattr__(
-            self, "down", tuple((float(a), float(b)) for a, b in self.down)
-        )
-        for start, end in self.down:
+        if not isinstance(self.down, (list, tuple)):
+            raise ConfigurationError("down must be a list of [start, end] windows")
+        windows = []
+        for window in self.down:
+            if not isinstance(window, (list, tuple)) or len(window) != 2:
+                raise ConfigurationError("down window must be a [start, end] pair")
+            start, end = (_finite(bound, "down window bound") for bound in window)
             if start < 0 or end <= start:
                 raise ConfigurationError(
                     f"down window must satisfy 0 <= start < end, got ({start}, {end})"
                 )
+            windows.append((start, end))
+        object.__setattr__(self, "down", tuple(windows))
 
     def matches(self, link_name: str) -> bool:
         return fnmatch.fnmatchcase(link_name, self.link)
@@ -118,25 +143,19 @@ class LinkFaultConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinkFaultConfig":
-        known = {
-            "link",
-            "drop_probability",
-            "corrupt_probability",
-            "speed_factor",
-            "down",
-        }
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"a link-fault rule must be an object, got {type(data).__name__}"
+            )
+        unknown = set(data) - {spec.name for spec in fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"unknown link-fault field(s): {', '.join(sorted(unknown))}"
             )
-        return cls(
-            link=data.get("link", "*"),
-            drop_probability=float(data.get("drop_probability", 0.0)),
-            corrupt_probability=float(data.get("corrupt_probability", 0.0)),
-            speed_factor=float(data.get("speed_factor", 1.0)),
-            down=tuple(tuple(window) for window in data.get("down", ())),
-        )
+        # JSON integers become floats, as the dataclass defaults are, so a
+        # rule's scenario tag does not depend on how a number was spelled.
+        given = {name: _finite(data[name], name) for name in _LINK_FAULT_NUMBERS if name in data}
+        return cls(link=data.get("link", "*"), down=data.get("down", ()), **given)
 
 
 @dataclass(frozen=True)

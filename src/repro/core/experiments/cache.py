@@ -3,7 +3,7 @@
 Campaign products are grouped by the first segment of their cache key
 (``degradation/fftw/P1M1B2.5e6`` → group ``degradation``); each group lives
 in its own JSON shard ``<directory>/<group>.json``, rewritten atomically
-(tempfile + ``os.replace``).  ``put(key, value)`` rewrites the key's shard
+by :func:`repro.jsonfile.write_text`.  ``put(key, value)`` rewrites the key's shard
 at once.  ``put(key, value, flush=False)`` instead appends one checksummed
 line, ``<sha256> <json [key, value]>``, to ``<directory>/journal.jsonl`` in
 a single flushed write, and :meth:`ShardedCache.flush` later rewrites each
@@ -21,7 +21,7 @@ unparseable, or fails its checksum is **quarantined** — renamed aside to
 ``<group>.json.corrupt`` (never silently deleted, never raised as a parse
 error) — and its keys simply become pending again, so the next
 campaign recomputes exactly the quarantined products.  Stale ``*.tmp`` files
-leaked by a crash between ``mkstemp`` and ``os.replace`` are swept on load.
+leaked by a crash before a write's rename are swept on load.
 
 A legacy monolithic cache (the old single ``paper_cache.json``) migrates on
 first load: keys absent from the shards are imported and their shards
@@ -33,14 +33,14 @@ safe to interrupt and re-run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set
 
+from ... import jsonfile
+from ...errors import CorruptDocument
 from ...faults import active_fault_plan
 from ...telemetry.live import LIVE_REPORT_NAME
 from ...telemetry.report import TELEMETRY_REPORT_NAME
@@ -64,11 +64,6 @@ FAILURE_REPORT_NAME = "failure_report.json"
 #: not yet written into their shards.
 JOURNAL_NAME = "journal.jsonl"
 
-#: What parsing hostile bytes as JSON can raise: ``ValueError`` for
-#: undecodable text, bad JSON and over-long integers, ``RecursionError`` for
-#: deep nesting.
-_PARSE_ERRORS = (ValueError, RecursionError)
-
 #: Files inside the cache directory that are not shards (never loaded,
 #: never quarantined): the failure report and the telemetry reports.
 RESERVED_FILES = frozenset({FAILURE_REPORT_NAME, TELEMETRY_REPORT_NAME, LIVE_REPORT_NAME})
@@ -80,8 +75,13 @@ def group_of(key: str) -> str:
     return _SAFE_GROUP.sub("_", key.split("/", 1)[0])[:_MAX_GROUP]
 
 
-def _checksum(payload_text: str) -> str:
-    return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+def _read_object(path: Path) -> Optional[Dict[str, object]]:
+    """The JSON object in ``path``; ``None`` if it is unreadable or not an object."""
+    try:
+        document = jsonfile.read(path)
+    except CorruptDocument:
+        return None
+    return document if isinstance(document, dict) else None
 
 
 class ShardedCache:
@@ -132,7 +132,7 @@ class ShardedCache:
                 self._replay(self.journal_path)
                 self._journaled = True
         if self.legacy_path is not None and self.legacy_path.is_file():
-            legacy = self._read_legacy(self.legacy_path)
+            legacy = _read_object(self.legacy_path) or {}
             fresh = {key: value for key, value in legacy.items() if key not in self._data}
             self._data.update(fresh)
             self._dirty.update(self._index(key) for key in fresh)
@@ -159,11 +159,8 @@ class ShardedCache:
         Accepts both the checksummed v2 envelope and pre-checksum bare
         product mappings (format 1).
         """
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, *_PARSE_ERRORS):
-            return None
-        if not isinstance(document, dict):
+        document = _read_object(path)
+        if document is None:
             return None
         if "__shard_format__" not in document:
             return document  # format 1: a bare product mapping, no checksum
@@ -171,8 +168,7 @@ class ShardedCache:
         recorded = document.get("sha256")
         if not isinstance(products, dict) or not isinstance(recorded, str):
             return None
-        actual = _checksum(json.dumps(products, sort_keys=True))
-        if actual != recorded:
+        if jsonfile.seal(json.dumps(products, sort_keys=True)) != recorded:
             return None
         return products
 
@@ -191,14 +187,6 @@ class ShardedCache:
         os.replace(shard, target)
         return target
 
-    @staticmethod
-    def _read_legacy(path: Path) -> Dict[str, object]:
-        try:
-            legacy = json.loads(path.read_text())
-        except (OSError, *_PARSE_ERRORS):
-            return {}
-        return legacy if isinstance(legacy, dict) else {}
-
     def _replay(self, journal: Path) -> None:
         """Apply the journal's verified lines in order; skip the rest.
 
@@ -208,11 +196,11 @@ class ShardedCache:
         """
         for line in journal.read_bytes().split(b"\n"):
             recorded, _, text = line.partition(b" ")
-            if hashlib.sha256(text).hexdigest().encode() != recorded:
+            if jsonfile.seal(text).encode() != recorded:
                 continue
             try:
-                record = json.loads(text)
-            except _PARSE_ERRORS:
+                record = jsonfile.parse(text)
+            except CorruptDocument:
                 continue
             if isinstance(record, list) and len(record) == 2 and isinstance(record[0], str):
                 key, value = record
@@ -264,7 +252,7 @@ class ShardedCache:
             if not self._journaled:
                 self.directory.mkdir(parents=True, exist_ok=True)
             with open(self.journal_path, "ab") as journal:
-                journal.write(f"{_checksum(record)} {record}\n".encode("utf-8"))
+                journal.write(f"{jsonfile.seal(record)} {record}\n".encode("utf-8"))
             self._journaled = True
 
     def _index(self, key: str) -> str:
@@ -295,18 +283,9 @@ class ShardedCache:
         payload_text = json.dumps(payload, sort_keys=True)
         text = (
             f'{{"__shard_format__": {SHARD_FORMAT}, "products": {payload_text}, '
-            f'"sha256": "{_checksum(payload_text)}"}}'
+            f'"sha256": "{jsonfile.seal(payload_text)}"}}'
         )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as stream:
-                stream.write(text)
-            os.replace(temp_name, self.shard_path(group))
-        except BaseException:
-            if os.path.exists(temp_name):  # pragma: no cover - cleanup path
-                os.unlink(temp_name)
-            raise
+        jsonfile.write_text(self.shard_path(group), text)
         plan = active_fault_plan()
         if plan is not None and plan.take_shard_corruption(group):
             # Injected fault: garble the shard *after* a clean write, exactly

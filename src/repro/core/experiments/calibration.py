@@ -16,14 +16,13 @@ simulator's ground-truth counters.
 
 from __future__ import annotations
 
-from ...cluster import Machine
 from ...config import MachineConfig
 from ...core.measurement import LatencyCollector
 from ...errors import ExperimentError
-from ...mpi import MPIWorld
 from ...queueing import ServiceEstimate
 from ...units import MS
 from ...workloads import ImpactB
+from .runner import JobSpec, execute
 
 __all__ = ["calibrate"]
 
@@ -46,12 +45,9 @@ def calibrate(
         ExperimentError: if too few samples were collected (duration too
             short for the probe interval).
     """
-    machine = Machine(config)
     collector = LatencyCollector()
     probe = ImpactB(collector, interval=probe_interval)
-    world = MPIWorld.create(machine, probe.preferred_placement(config), name="calibration")
-    world.launch(probe)
-    machine.sim.run(until=duration)
+    execute(config, [JobSpec(probe, "calibration", daemon=True)], duration=duration)
     if collector.count < min_samples:
         raise ExperimentError(
             f"calibration collected only {collector.count} samples "

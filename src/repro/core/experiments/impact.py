@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...cluster import Machine
 from ...config import MachineConfig
 from ...core.measurement import LatencyCollector, ProbeSignature
 from ...errors import ExperimentError
-from ...mpi import MPIWorld
 from ...queueing import ServiceEstimate
 from ...units import MS
-from ...workloads import ImpactB, Workload, looped
+from ...workloads import ImpactB, Workload
+from .runner import JobSpec, execute
 
 __all__ = ["ImpactResult", "ImpactExperiment"]
 
@@ -88,24 +87,15 @@ class ImpactExperiment:
         The workload is looped so the switch never drains mid-measurement
         (the paper runs each benchmark "in continuous loops").
         """
-        machine = Machine(self.config)
         collector = LatencyCollector()
         probe = ImpactB(collector, interval=self.probe_interval)
-        probe_world = MPIWorld.create(
-            machine, probe.preferred_placement(self.config), name="impactb"
-        )
-        probe_world.launch(probe)
-
+        # ImpactB never returns, so running it as a looped daemon job
+        # schedules exactly the events of a single launch.
+        specs = [JobSpec(probe, "impactb", daemon=True)]
         if workload is not None:
-            app_world = MPIWorld.create(
-                machine, workload.preferred_placement(self.config), name=workload.name
-            )
-            app_world.launch(looped(workload))
-
+            specs.append(JobSpec(workload, workload.name, daemon=True))
         warmup_time = duration * self.warmup_fraction
-        machine.sim.run(until=warmup_time)
-        machine.network.reset_stats()
-        machine.sim.run(until=duration)
+        run = execute(self.config, specs, duration=duration, warmup=warmup_time)
 
         values = collector.values_after(warmup_time)
         if len(values) < min_samples:
@@ -116,6 +106,6 @@ class ImpactExperiment:
         signature = ProbeSignature.from_samples(values, self.calibration)
         return ImpactResult(
             signature=signature,
-            true_utilization=machine.network.true_utilization(),
-            sim_time=machine.sim.now,
+            true_utilization=run.true_utilization,
+            sim_time=run.sim_time,
         )

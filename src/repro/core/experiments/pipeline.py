@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ... import telemetry
+from ... import jsonfile, telemetry
 from ...config import MachineConfig, scenario_tag
 from ...core.measurement import ProbeSignature
 from ...engine.base import (
@@ -1055,9 +1055,9 @@ class ReproductionPipeline:
     ) -> Optional[Path]:
         """Persist the campaign's failure accounting next to the shards.
 
-        Written on every campaign (an empty report overwrites stale ones) so
-        automation can always read the latest campaign's health from one
-        well-known file.  Memory-only caches skip the write.
+        Written atomically on every campaign (an empty report overwrites
+        stale ones) so automation can always read the latest campaign's
+        health from one well-known file.  Memory-only caches skip the write.
         """
         if self._cache.directory is None:
             return None
@@ -1076,6 +1076,4 @@ class ReproductionPipeline:
                 str(shard) for shard in self._cache.quarantined
             ],
         }
-        self._cache.directory.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(document, indent=2) + "\n")
-        return path
+        return jsonfile.write_text(path, json.dumps(document, indent=2) + "\n")

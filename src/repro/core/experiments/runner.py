@@ -77,6 +77,7 @@ def execute(
     specs: Sequence[JobSpec],
     duration: Optional[float] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
+    warmup: Optional[float] = None,
 ) -> RunResult:
     """Run a set of jobs on a fresh machine.
 
@@ -92,6 +93,9 @@ def execute(
             (required when there are no measured jobs); otherwise it runs
             until every measured job finishes.
         max_events: event budget guarding against runaway experiments.
+        warmup: if given, the network's ground-truth counters restart at
+            this simulated instant, so ``true_utilization`` covers only
+            the rest of the run.
 
     Returns:
         A :class:`RunResult` with per-measured-job makespans and the
@@ -116,6 +120,9 @@ def execute(
         if not spec.daemon:
             jobs.append((spec.name, job))
 
+    if warmup is not None:
+        machine.sim.run(until=warmup, max_events=max_events)
+        machine.network.reset_stats()
     result = RunResult()
     if jobs:
         done = machine.sim.all_of([job.done for _name, job in jobs], name="measured.done")

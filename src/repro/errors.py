@@ -27,6 +27,7 @@ __all__ = [
     "ModelError",
     "ArtifactError",
     "RegistryError",
+    "CorruptDocument",
     "InjectedFault",
     "FailureRecord",
     "FAILURE_CATEGORIES",
@@ -118,6 +119,11 @@ class RegistryError(ReproError):
     *content* damage keeps raising :class:`ArtifactError` — promotion
     verifies the artifact before the pointer ever moves.
     """
+
+
+class CorruptDocument(ReproError):
+    """A JSON file or body could not be read back as a document (see
+    :mod:`repro.jsonfile`); callers map it to their own outcome."""
 
 
 class InjectedFault(ReproError):

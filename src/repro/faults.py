@@ -31,14 +31,13 @@ retry path, a fault keyed ``"*"`` is a persistent hole.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
-from .errors import ConfigurationError, InjectedFault
+from . import jsonfile
+from .errors import ConfigurationError, CorruptDocument, InjectedFault
 
 __all__ = [
     "FaultPlan",
@@ -134,10 +133,14 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
+        """Parse a plan from its JSON ``text``, or from ``@path`` to a file."""
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"fault plan is not valid JSON: {exc}") from exc
+            if text.startswith("@"):
+                data = jsonfile.read(text[1:], f"fault plan {text[1:]}")
+            else:
+                data = jsonfile.parse(text, "fault plan")
+        except CorruptDocument as exc:
+            raise ConfigurationError(str(exc)) from exc
         if not isinstance(data, dict):
             raise ConfigurationError("fault plan JSON must be an object")
         return cls.from_dict(data)
@@ -205,8 +208,7 @@ def active_fault_plan() -> Optional[FaultPlan]:
         return None
     if _env_cache[0] == raw:
         return _env_cache[1]
-    text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
-    plan = FaultPlan.from_json(text)
+    plan = FaultPlan.from_json(raw)
     _env_cache = (raw, plan if not plan.is_empty() else None)
     return _env_cache[1]
 

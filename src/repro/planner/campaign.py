@@ -16,7 +16,7 @@ with rounds of *plan → measure → refit*:
    executes the subset under the remaining measurement budget with the
    campaign's fault-tolerant runner and cache.
 3. **Stop** — when the Queue model's mean holdout prediction error has
-   stabilized for ``patience`` consecutive rounds, the budget is
+   stabilized for two consecutive rounds, the budget is
    exhausted, the strategy has nothing left to propose, or ``max_rounds``
    is hit.
 
@@ -49,6 +49,12 @@ __all__ = ["PlannedCampaign", "PlanResult"]
 #: Degradation rows seeded before any adaptive planning: the extremes pin
 #: the fit's slope, the median anchors its middle.
 _SEED_ROW_COUNT = 3
+
+#: |Δ holdout error| (percentage points) under which a round counts as stable.
+_STABILITY_TOL = 0.25
+
+#: Consecutive stable rounds that stop the campaign.
+_PATIENCE = 2
 
 #: Model whose holdout prediction error drives the stopping criterion (the
 #: paper's best-performing predictor).
@@ -130,14 +136,12 @@ class PlannedCampaign:
         max_rounds: adaptive-round ceiling (bootstrap not counted).
         holdout_per_round: new holdout pairs measured each round
             (default: one per application).
-        stability_tol: |Δ holdout error| (percentage points) under which a
-            round counts as stable.
-        patience: consecutive stable rounds required to stop.
         workers: forwarded to ``ensure_products``.
         cost_model: override the settings-derived cost estimates (e.g. one
             calibrated from a previous campaign's ``telemetry.json``).
-        failure_budget: non-``unsupported`` permanent failures tolerated
-            across the whole campaign (default: the pipeline's own).
+
+    The campaign tolerates the pipeline's own failure budget of
+    non-``unsupported`` permanent failures across all its rounds.
     """
 
     def __init__(
@@ -147,11 +151,8 @@ class PlannedCampaign:
         measurement_budget: Optional[float] = None,
         max_rounds: int = 8,
         holdout_per_round: Optional[int] = None,
-        stability_tol: float = 0.25,
-        patience: int = 2,
         workers: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
-        failure_budget: Optional[int] = None,
     ) -> None:
         if measurement_budget is not None and measurement_budget <= 0:
             raise ConfigurationError(
@@ -159,12 +160,6 @@ class PlannedCampaign:
             )
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
-        if patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {patience}")
-        if stability_tol < 0:
-            raise ConfigurationError(
-                f"stability_tol must be >= 0, got {stability_tol}"
-            )
         self.pipeline = pipeline
         self.planner = planner
         self.budget = measurement_budget
@@ -176,18 +171,11 @@ class PlannedCampaign:
         )
         if self.holdout_per_round < 1:
             raise ConfigurationError("holdout_per_round must be >= 1")
-        self.stability_tol = stability_tol
-        self.patience = patience
         self.workers = workers
         self.cost_model = (
             cost_model
             if cost_model is not None
             else CostModel.from_settings(pipeline.settings)
-        )
-        self.failure_budget = (
-            failure_budget
-            if failure_budget is not None
-            else pipeline.failure_budget
         )
         self.seed = pipeline.settings.seed
         self._schedule = holdout_schedule(
@@ -549,7 +537,7 @@ class PlannedCampaign:
             if (
                 error is not None
                 and previous is not None
-                and abs(error - previous) <= self.stability_tol
+                and abs(error - previous) <= _STABILITY_TOL
             ):
                 stable += 1
             else:
@@ -570,10 +558,10 @@ class PlannedCampaign:
             if stats["skipped"] and stats["executed"] == 0:
                 result.stop_reason = "budget-exhausted"
                 break
-            if stable >= self.patience:
+            if stable >= _PATIENCE:
                 result.stop_reason = "stabilized"
                 break
 
         result.failure_records = list(self._failure_records)
-        enforce_failure_budget(self._failure_records, self.failure_budget)
+        enforce_failure_budget(self._failure_records, self.pipeline.failure_budget)
         return result

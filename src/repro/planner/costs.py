@@ -9,7 +9,6 @@ deterministically, from a previous campaign's ``telemetry.json``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -17,6 +16,7 @@ from typing import Dict, Mapping, Sequence
 
 from ..core.experiments.pipeline import PRODUCT_KINDS
 from ..errors import ConfigurationError
+from ..telemetry.report import load_report
 
 __all__ = ["PRODUCT_KINDS", "CostModel"]
 
@@ -115,8 +115,13 @@ class CostModel:
         fall back to the settings-derived estimate (when ``settings`` is
         given) or to the mean of the observed kinds.  Deterministic given
         the same report file.
+
+        Raises:
+            CorruptDocument: if the report cannot be read back.
+            ConfigurationError: if it has no task spans and no settings
+                are given.
         """
-        document = json.loads(Path(path).read_text())
+        document = load_report(path)
         records = document.get("spans", {}).get("records", [])
         sums: Dict[str, float] = {}
         counts: Dict[str, int] = {}

@@ -14,13 +14,7 @@ servers onto one ``SO_REUSEPORT``-shared port for per-core parallelism.
 No campaign cache is required at serving time.
 """
 
-from .artifact import (
-    ARTIFACT_FORMAT,
-    ModelArtifact,
-    atomic_write_text,
-    load_artifact,
-    save_artifact,
-)
+from .artifact import ARTIFACT_FORMAT, ModelArtifact, load_artifact, save_artifact
 from .fleet import fleet_document, publish_stats, read_shard_documents, stats_path
 from .prefork import ShardedPredictionServer
 from .registry import CURRENT_POINTER, ModelRegistry, RegistryEntry
@@ -29,7 +23,6 @@ from .server import PredictionServer, ServingState, UNKNOWN_ENDPOINT
 __all__ = [
     "ARTIFACT_FORMAT",
     "ModelArtifact",
-    "atomic_write_text",
     "load_artifact",
     "save_artifact",
     "CURRENT_POINTER",

@@ -26,18 +26,16 @@ products.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from .. import jsonfile
 from ..core.experiments.compression import CompressionObservation
 from ..core.measurement import ProbeSignature
 from ..core.models import PredictionEngine, SlowdownModel, default_models
-from ..errors import ArtifactError
+from ..errors import ArtifactError, CorruptDocument, ReproError
 from ..queueing import ServiceEstimate
 
 __all__ = [
@@ -45,54 +43,14 @@ __all__ = [
     "ModelArtifact",
     "save_artifact",
     "load_artifact",
-    "atomic_write_text",
 ]
 
 #: Version stamp of the artifact document; bump on incompatible changes.
 ARTIFACT_FORMAT = 1
 
-
-def _checksum(payload_text: str) -> str:
-    return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
-
-
-def _process_umask() -> int:
-    # There is no read-only accessor for the umask; set-and-restore is the
-    # standard idiom and the window is harmless (same value written back).
-    current = os.umask(0)
-    os.umask(current)
-    return current
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Durably write ``text`` to ``path``: temp file, fsync, atomic rename.
-
-    The file's bytes are flushed and fsynced before the ``os.replace``, and
-    the parent directory is fsynced after it, so a crash at any point leaves
-    either the complete previous file or the complete new one — never a torn
-    or empty file whose rename outran its data.  The temp file's 0600
-    ``mkstemp`` mode is widened to honor the process umask, matching what a
-    plain ``open(path, "w")`` would have produced.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w") as stream:
-            stream.write(text)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.chmod(temp_name, 0o666 & ~_process_umask())
-        os.replace(temp_name, path)
-    except BaseException:
-        if os.path.exists(temp_name):  # pragma: no cover - cleanup path
-            os.unlink(temp_name)
-        raise
-    directory_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory_fd)
-    finally:
-        os.close(directory_fd)
+#: What converting or fitting a checksummed payload's sections can raise
+#: when they hold JSON of the wrong shape or type.
+_MALFORMED = (LookupError, TypeError, AttributeError, ValueError, ArithmeticError)
 
 
 @dataclass
@@ -122,13 +80,20 @@ class ModelArtifact:
         The models' canonical fitting makes the result independent of the
         order observations were stored in, so an engine built here predicts
         identically to the one the artifact was exported from.
+
+        Raises:
+            ArtifactError: if the products cannot be fitted (a checksummed
+                artifact can still hold nonsense, say a non-numeric mean).
         """
-        return PredictionEngine(
-            observations=self.observations,
-            degradations=self.degradations,
-            signatures=self.signatures,
-            models=models if models is not None else default_models(),
-        )
+        try:
+            return PredictionEngine(
+                observations=self.observations,
+                degradations=self.degradations,
+                signatures=self.signatures,
+                models=models if models is not None else default_models(),
+            )
+        except _MALFORMED as exc:
+            raise ArtifactError(f"artifact products cannot be fitted: {exc}") from exc
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
@@ -168,55 +133,50 @@ class ModelArtifact:
             raise ArtifactError(
                 f"artifact payload lacks required section(s): {', '.join(missing)}"
             )
+        calibration = payload.get("calibration")
         try:
-            observations = [
-                CompressionObservation.from_dict(entry)
-                for entry in payload["observations"]
-            ]
-            signatures = {
-                app: ProbeSignature.from_dict(entry)
-                for app, entry in payload["signatures"].items()
-            }
-            calibration_data = payload.get("calibration")
-            calibration = (
-                ServiceEstimate.from_dict(calibration_data)
-                if calibration_data is not None
-                else None
+            return cls(
+                observations=[
+                    CompressionObservation.from_dict(entry)
+                    for entry in payload["observations"]
+                ],
+                degradations={
+                    app: {label: float(value) for label, value in table.items()}
+                    for app, table in payload["degradations"].items()
+                },
+                signatures={
+                    app: ProbeSignature.from_dict(entry)
+                    for app, entry in payload["signatures"].items()
+                },
+                calibration=(
+                    ServiceEstimate.from_dict(calibration)
+                    if calibration is not None
+                    else None
+                ),
+                metadata=dict(payload.get("metadata") or {}),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (*_MALFORMED, ReproError) as exc:
             raise ArtifactError(f"artifact payload is malformed: {exc}") from exc
-        return cls(
-            observations=observations,
-            degradations={
-                app: {label: float(value) for label, value in table.items()}
-                for app, table in payload["degradations"].items()
-            },
-            signatures=signatures,
-            calibration=calibration,
-            metadata=dict(payload.get("metadata") or {}),
-        )
 
 
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> Path:
     """Write ``artifact`` to ``path`` atomically, under a checksum envelope.
 
     The payload is checksummed over its canonical (sorted-keys) JSON text
-    and written through :func:`atomic_write_text` (temp file + fsync +
-    ``os.replace`` + directory fsync), so a crashed write — or a crash right
-    after the rename — leaves either the previous artifact or the complete
-    new one, never a torn or empty file.  Registry promotion relies on this:
-    the ``CURRENT`` pointer only ever names fully-durable artifacts.
+    and written durably by :func:`repro.jsonfile.write_text` (temp file +
+    fsync + ``os.replace`` + directory fsync), so a crashed write — or a
+    crash right after the rename — leaves either the previous artifact or
+    the complete new one, never a torn or empty file.  Registry promotion
+    relies on this: the ``CURRENT`` pointer only ever names fully-durable
+    artifacts.
     """
-    path = Path(path)
     payload = artifact.to_payload()
-    payload_text = json.dumps(payload, sort_keys=True)
     document = {
         "__artifact_format__": ARTIFACT_FORMAT,
-        "sha256": _checksum(payload_text),
+        "sha256": jsonfile.seal(json.dumps(payload, sort_keys=True)),
         "payload": payload,
     }
-    atomic_write_text(path, json.dumps(document) + "\n")
-    return path
+    return jsonfile.write_text(path, json.dumps(document) + "\n", durable=True)
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
@@ -227,17 +187,10 @@ def load_artifact(path: str | Path) -> ModelArtifact:
             checksum, declares an unknown format version, or lacks any
             required payload section.
     """
-    path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    try:
-        document = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ArtifactError(
-            f"artifact {path} is not valid JSON (truncated or corrupt): {exc}"
-        ) from exc
+        document = jsonfile.read(path, f"artifact {path}")
+    except CorruptDocument as exc:
+        raise ArtifactError(str(exc)) from exc
     if not isinstance(document, dict):
         raise ArtifactError(
             f"artifact {path} must be a JSON object, got {type(document).__name__}"
@@ -252,7 +205,7 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     recorded = document.get("sha256")
     if not isinstance(payload, dict) or not isinstance(recorded, str):
         raise ArtifactError(f"artifact {path} lacks its payload or checksum")
-    actual = _checksum(json.dumps(payload, sort_keys=True))
+    actual = jsonfile.seal(json.dumps(payload, sort_keys=True))
     if actual != recorded:
         raise ArtifactError(
             f"artifact {path} failed its checksum (recorded {recorded[:12]}…, "

@@ -4,8 +4,7 @@
 shard chosen by the kernel — fine for liveness, useless for fleet totals.
 This module closes that gap with a filesystem rendezvous: every shard
 periodically publishes its own stats document to
-``<stats_dir>/shard-<pid>.json`` via an atomic tempfile + ``os.replace``
-(the same discipline as :func:`repro.serving.artifact.atomic_write_text`),
+``<stats_dir>/shard-<pid>.json`` atomically (:func:`repro.jsonfile.write_text`),
 and any shard can answer ``GET /metrics/fleet`` by reading all documents,
 dropping dead publishers (``kill -0`` liveness), and folding the metric
 snapshots together with the PR 4 merge algebra
@@ -24,11 +23,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .. import jsonfile
+from ..errors import CorruptDocument
 from ..telemetry import merge_snapshots
 
 __all__ = [
@@ -60,24 +60,9 @@ def publish_stats(stats_dir: "Path | str", document: dict) -> Optional[Path]:
     """
     path = stats_path(stats_dir, int(document.get("pid") or os.getpid()))
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(document, stream, sort_keys=True)
-                stream.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        return jsonfile.write_text(path, json.dumps(document, sort_keys=True) + "\n")
     except OSError:
         return None
-    return path
 
 
 def _pid_alive(pid: int) -> bool:
@@ -111,9 +96,8 @@ def read_shard_documents(stats_dir: "Path | str") -> List[dict]:
         if not (name.startswith(STATS_FILE_PREFIX) and name.endswith(STATS_FILE_SUFFIX)):
             continue
         try:
-            with open(entry, "r", encoding="utf-8") as stream:
-                document = json.load(stream)
-        except (OSError, ValueError):
+            document = jsonfile.read(entry)
+        except CorruptDocument:
             continue
         if not isinstance(document, dict):
             continue

@@ -49,7 +49,6 @@ def _worker_main(
     reload_interval: float,
     telemetry_on: bool,
     stats_dir: Optional[str],
-    stats_interval: float,
     log_target: Optional[str],
 ) -> None:  # pragma: no cover - runs in child processes
     # Imported here so a spawn-context child pays the import cost itself.
@@ -68,7 +67,6 @@ def _worker_main(
         reload_interval=reload_interval,
         reuse_port=True,
         stats_dir=stats_dir,
-        stats_interval=stats_interval,
     )
     try:
         server.serve_forever()
@@ -107,8 +105,6 @@ class ShardedPredictionServer:
         stats_dir: shared directory for the per-shard stats rendezvous
             (``/metrics/fleet`` aggregation).  ``None`` (default) creates a
             private temp dir, removed on :meth:`stop`.
-        stats_interval: seconds between each shard's periodic stats
-            publishes.
     """
 
     def __init__(
@@ -120,7 +116,6 @@ class ShardedPredictionServer:
         workers: int = 2,
         reload_interval: float = 1.0,
         stats_dir: Optional[str | Path] = None,
-        stats_interval: float = 2.0,
     ) -> None:
         if (artifact_path is None) == (registry_root is None):
             raise ModelError(
@@ -147,7 +142,6 @@ class ShardedPredictionServer:
             reload_interval,
             telemetry.enabled(),
             str(self.stats_dir),
-            stats_interval,
             logs.target(),
         )
         self._processes: List[multiprocessing.Process] = []

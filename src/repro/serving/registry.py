@@ -11,10 +11,10 @@ pointer file naming the version currently being served::
         CURRENT             <- {"version": "v0002", "previous": "v0001", ...}
 
 Every write is atomic-and-durable (temp file + fsync + ``os.replace`` +
-directory fsync, via :func:`~repro.serving.artifact.atomic_write_text`), so
-readers — including a :class:`~repro.serving.server.PredictionServer`
-watcher thread in another process — always see either the old pointer or
-the new one, never a torn file.
+directory fsync, via :func:`repro.jsonfile.write_text`), so readers —
+including a :class:`~repro.serving.server.PredictionServer` watcher thread
+in another process — always see either the old pointer or the new one,
+never a torn file.
 
 Promotion is paranoid: :meth:`ModelRegistry.promote` fully loads and
 checksum-verifies the candidate artifact *before* the pointer moves, so a
@@ -26,7 +26,9 @@ old artifact may have been damaged while it was out of service).
 Registry *usage* errors (unknown version, name collision, malformed
 pointer, rollback with no history) raise
 :class:`~repro.errors.RegistryError`; artifact *content* damage keeps
-raising :class:`~repro.errors.ArtifactError`.
+raising :class:`~repro.errors.ArtifactError`.  An unreadable pointer blocks
+nothing but :meth:`ModelRegistry.rollback`: the next good promotion
+overwrites it.
 """
 
 from __future__ import annotations
@@ -37,16 +39,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from ..errors import ArtifactError, RegistryError
-from .artifact import ModelArtifact, atomic_write_text, load_artifact, save_artifact
+from .. import jsonfile
+from ..errors import CorruptDocument, RegistryError
+from .artifact import ModelArtifact, load_artifact, save_artifact
 
 __all__ = ["CURRENT_POINTER", "ModelRegistry", "RegistryEntry"]
 
 #: Name of the pointer file inside the registry root.
 CURRENT_POINTER = "CURRENT"
 
-#: Version names are path-safe single components: no separators, no dots-only.
-_VERSION_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+#: Version names are path-safe single components: no separators, no
+#: dots-only, and short enough that no file system refuses the file name.
+_VERSION_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 #: Auto-assigned version names: v0001, v0002, ... (lexically == numerically
 #: sortable up to 9999, and still unambiguous beyond).
@@ -109,8 +113,8 @@ class ModelRegistry:
     def _check_name(version: str) -> None:
         if not _VERSION_RE.match(version):
             raise RegistryError(
-                f"invalid version name {version!r}: use letters, digits, "
-                "'.', '_' or '-' (must start with a letter or digit)"
+                f"invalid version name {version!r}: use up to 100 letters, "
+                "digits, '.', '_' or '-' (must start with a letter or digit)"
             )
 
     # ------------------------------------------------------------------
@@ -153,21 +157,14 @@ class ModelRegistry:
     # Pointer
     # ------------------------------------------------------------------
     def _read_pointer(self) -> Optional[dict]:
+        if not self.pointer_path.exists():
+            return None  # nothing promoted yet
         try:
-            text = self.pointer_path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:  # pragma: no cover - exotic I/O failure
-            raise RegistryError(
-                f"cannot read registry pointer {self.pointer_path}: {exc}"
-            ) from exc
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise RegistryError(
-                f"registry pointer {self.pointer_path} is not valid JSON "
-                f"(torn write should be impossible — was it hand-edited?): {exc}"
-            ) from exc
+            record = jsonfile.read(
+                self.pointer_path, f"registry pointer {self.pointer_path}"
+            )
+        except CorruptDocument as exc:
+            raise RegistryError(str(exc)) from exc
         if not isinstance(record, dict) or not isinstance(
             record.get("version"), str
         ):
@@ -189,8 +186,8 @@ class ModelRegistry:
 
     def _write_pointer(self, version: str, previous: Optional[str]) -> None:
         record = {"version": version, "previous": previous}
-        atomic_write_text(
-            self.pointer_path, json.dumps(record, sort_keys=True) + "\n"
+        jsonfile.write_text(
+            self.pointer_path, json.dumps(record, sort_keys=True) + "\n", durable=True
         )
 
     # ------------------------------------------------------------------
@@ -217,10 +214,14 @@ class ModelRegistry:
         The candidate artifact is fully loaded and checksum-verified first —
         a damaged file raises :class:`ArtifactError` and the pointer does
         not move.  Promoting the already-current version is a no-op (the
-        pointer is not rewritten, so watchers see no spurious flip).
+        pointer is not rewritten, so watchers see no spurious flip).  An
+        unreadable pointer is replaced by a fresh one with no history.
         """
         artifact = self.verify(version)
-        current = self.current_version()
+        try:
+            current = self.current_version()
+        except RegistryError:
+            current = None
         if current == version:
             return artifact
         self._write_pointer(version, previous=current)
@@ -283,10 +284,10 @@ class ModelRegistry:
             for path in sorted(self.versions_dir.glob("*.json")):
                 sha = ""
                 try:
-                    envelope = json.loads(path.read_text())
+                    envelope = jsonfile.read(path)
                     if isinstance(envelope, dict):
                         sha = str(envelope.get("sha256") or "")
-                except (OSError, json.JSONDecodeError):
+                except CorruptDocument:
                     sha = "<unreadable>"
                 rows.append(
                     RegistryEntry(
@@ -301,12 +302,13 @@ class ModelRegistry:
     def describe(self) -> dict:
         """JSON-ready summary (what ``repro registry list --json`` prints)."""
         try:
-            current = self.current_version()
+            record = self._read_pointer() or {}
         except RegistryError:
-            current = None
+            record = {}  # a garbled pointer should not hide the listing
+        previous = record.get("previous")
         return {
             "root": str(self.root),
-            "current": current,
-            "previous": self.previous_version() if current else None,
+            "current": record.get("version"),
+            "previous": previous if isinstance(previous, str) else None,
             "versions": [entry.to_dict() for entry in self.entries()],
         }

@@ -75,6 +75,7 @@ import os
 import socket
 import threading
 import time
+import traceback
 import uuid
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,11 +83,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from .. import telemetry
+from .. import jsonfile, telemetry
 from ..telemetry import logs
 from ..telemetry.exposition import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..core.models import PairPrediction, PredictionEngine
-from ..errors import ModelError, ReproError
+from ..errors import CorruptDocument, ModelError, ReproError
 from . import fleet
 from .artifact import ModelArtifact
 from .registry import ModelRegistry
@@ -103,6 +104,9 @@ UNKNOWN_ENDPOINT = "<unknown>"
 #: Version label served when the artifact came from a bare file, not a
 #: registry.
 UNVERSIONED = "unversioned"
+
+#: Seconds between a server's periodic fleet stats publishes.
+STATS_INTERVAL = 2.0
 
 
 #: A served triple and what it answers: the prediction and its
@@ -282,12 +286,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise ModelError("request body must be a JSON object")
         try:
-            document = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers malformed JSON, undecodable bytes and
-            # integers past the interpreter's digit limit; RecursionError
-            # covers nesting deeper than the decoder's stack.
-            raise ModelError(f"request body is not valid JSON: {exc}") from exc
+            document = jsonfile.parse(raw, "request body")
+        except CorruptDocument as exc:
+            raise ModelError(str(exc)) from exc
         if not isinstance(document, dict):
             raise ModelError("request body must be a JSON object")
         return document
@@ -445,9 +446,10 @@ class PredictionServer(ThreadingHTTPServer):
             :mod:`repro.serving.fleet`).  ``None`` (default) keeps the
             server standalone; ``/metrics/fleet`` then reports a fleet of
             one.
-        stats_interval: seconds between periodic stats publishes (the
-            server also publishes synchronously before answering
-            ``/metrics/fleet`` or ``/healthz``).
+
+    With a stats dir, the server publishes every :data:`STATS_INTERVAL`
+    seconds, and synchronously before answering ``/metrics/fleet`` or
+    ``/healthz``.
     """
 
     daemon_threads = True
@@ -462,7 +464,6 @@ class PredictionServer(ThreadingHTTPServer):
         reload_interval: float = 1.0,
         reuse_port: bool = False,
         stats_dir: "Optional[str | Path]" = None,
-        stats_interval: float = 2.0,
     ) -> None:
         if (artifact is None) == (registry is None):
             raise ModelError(
@@ -495,7 +496,6 @@ class PredictionServer(ThreadingHTTPServer):
             )
             self._watcher.start()
         self.stats_dir = Path(stats_dir) if stats_dir is not None else None
-        self.stats_interval = stats_interval
         self._stats_thread: Optional[threading.Thread] = None
         if self.stats_dir is not None:
             self.publish_stats()
@@ -543,9 +543,11 @@ class PredictionServer(ThreadingHTTPServer):
 
         Reads the registry pointer; on a flip, verifies and fits the new
         artifact and builds its answer table *before* touching the live
-        bundle, then swaps it in a single attribute assignment.  Any failure — damaged artifact,
-        vanished registry, garbled pointer — leaves the old bundle serving
-        and is counted in ``serving.reload_failures``.
+        bundle, then swaps it in a single attribute assignment.  Any failure
+        — damaged artifact, vanished registry, garbled pointer, an artifact
+        whose products cannot be fitted — leaves the old bundle serving, is
+        counted in ``serving.reload_failures`` and shown in ``/healthz`` as
+        ``last_reload_error``; the watcher thread keeps polling.
         """
         if self.registry is None:
             return False
@@ -554,13 +556,16 @@ class PredictionServer(ThreadingHTTPServer):
             if version is None or version == self.state.version:
                 return False
             fresh = ServingState.load(self.registry.verify(version), version)
-        except (ReproError, OSError) as exc:
+        except Exception as exc:  # noqa: BLE001 - the watcher must outlive any bad version
+            error = str(exc) if isinstance(exc, ReproError) else repr(exc)
             self.reload_failures += 1
-            self.last_reload_error = str(exc)
+            self.last_reload_error = error
             if telemetry.enabled():
                 telemetry.registry().counter_inc("serving.reload_failures")
             if logs.enabled():
-                logs.log_event("serving.reload_failed", error=str(exc))
+                logs.log_event(
+                    "serving.reload_failed", error=error, traceback=traceback.format_exc()
+                )
             return False
         previous = self.state.version
         self.state = fresh  # the atomic swap: one reference assignment
@@ -596,7 +601,7 @@ class PredictionServer(ThreadingHTTPServer):
             fleet.publish_stats(self.stats_dir, self.shard_stats())
 
     def _publish_loop(self) -> None:
-        while not self._stop_watcher.wait(self.stats_interval):
+        while not self._stop_watcher.wait(STATS_INTERVAL):
             self.publish_stats()
 
     def fleet(self) -> dict:

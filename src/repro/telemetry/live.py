@@ -4,7 +4,7 @@
 gives a campaign a pulse while it runs.  The pipeline's ``ensure_all``
 holds a :class:`LiveReporter` and calls :meth:`LiveReporter.publish` on
 every landed task; the reporter throttles to one atomic rewrite of
-``telemetry.live.json`` per ``interval`` seconds (tempfile + ``os.replace``,
+``telemetry.live.json`` per ``interval`` seconds (:func:`repro.jsonfile.write_text`,
 so a tailing reader never sees a torn document), with a final forced write
 marked ``complete`` when the campaign finishes.
 
@@ -18,12 +18,12 @@ refreshing terminal table.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional
 
+from .. import jsonfile
+from ..errors import CorruptDocument
 from .metrics import histogram_percentile
 
 __all__ = [
@@ -37,24 +37,6 @@ __all__ = [
 LIVE_REPORT_NAME = "telemetry.live.json"
 
 _EMPTY_METRICS: Dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def _atomic_write_json(path: Path, document: Mapping[str, object]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(document, stream, sort_keys=True)
-            stream.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class LiveReporter:
@@ -103,7 +85,7 @@ class LiveReporter:
             "metrics": dict(metrics) if metrics else dict(_EMPTY_METRICS),
         }
         try:
-            _atomic_write_json(self.path, document)
+            jsonfile.write_text(self.path, json.dumps(document, sort_keys=True) + "\n")
         except OSError:
             return False
         self._last_write = now
@@ -113,9 +95,8 @@ class LiveReporter:
 def load_live(path: "Path | str") -> Optional[dict]:
     """Read a live document; ``None`` if absent or mid-replace unreadable."""
     try:
-        with open(path, "r", encoding="utf-8") as stream:
-            return json.load(stream)
-    except (OSError, ValueError):
+        return jsonfile.read(path)
+    except CorruptDocument:
         return None
 
 

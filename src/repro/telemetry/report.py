@@ -14,6 +14,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
+from .. import jsonfile
+from ..errors import CorruptDocument
 from .spans import chrome_trace, span_summary
 
 __all__ = [
@@ -60,17 +62,20 @@ def build_report(
 
 
 def write_report(path: Path, document: Mapping[str, object]) -> Path:
-    """Write the document as indented JSON (trailing newline, UTF-8)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
+    """Write the document as indented JSON (trailing newline, UTF-8), atomically."""
+    return jsonfile.write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def load_report(path: Path) -> dict:
-    """Read a ``telemetry.json`` back (raises on missing/invalid files)."""
-    document = json.loads(Path(path).read_text())
+    """Read a ``telemetry.json`` back.
+
+    Raises:
+        CorruptDocument: if the file is missing, unreadable, or not a
+            telemetry report.
+    """
+    document = jsonfile.read(path)
     if not isinstance(document, dict) or "version" not in document:
-        raise ValueError(f"{path} is not a telemetry report")
+        raise CorruptDocument(f"{path} is not a telemetry report")
     return document
 
 

@@ -1,9 +1,26 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.report import FIGURES
 from repro.cli import build_parser, main
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
 
 
 def test_parser_knows_all_commands():
@@ -224,3 +241,65 @@ def test_cli_serve_unpromoted_registry_is_friendly(tmp_path, capsys):
     )
     assert code == 1
     assert "repro serve:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["telemetry"],
+        ["--engine", "analytic", "plan", "--cost-from", "{report}"],
+    ],
+)
+def test_cli_torn_telemetry_report_prints_one_line(tmp_path, capsys, argv):
+    report = tmp_path / "cache" / "telemetry.json"
+    report.parent.mkdir()
+    report.write_text('{"version": 1, "spans": {"rec')  # a write cut short
+    argv = [arg.format(report=report) for arg in argv]
+    assert main(_isolated(tmp_path, *argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: ") and err.count("\n") == 1
+    assert "not valid JSON" in err
+
+
+fault_specs = st.one_of(
+    json_values.map(json.dumps),
+    st.dictionaries(
+        st.sampled_from(
+            ["link", "drop_probability", "corrupt_probability", "speed_factor", "down"]
+        ),
+        json_values,
+        max_size=3,
+    ).map(json.dumps),
+    st.text(max_size=12),
+    st.sampled_from(
+        [
+            "[1]",
+            '{"drop_probability": "x"}',
+            '{"down": [[1]]}',
+            "[[[",
+            "@/nonexistent.json",
+            '{"bogus": 1}',
+            '{"link": 5}',
+            '{"speed_factor": NaN}',
+            '{"down": [[NaN, 1]]}',
+            '{"speed_factor": 1e400}',
+            '{"link": "leaf0->spine0", "drop_probability": 0.01}',
+            "[" * 100_000,
+        ]
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=fault_specs)
+def test_cli_faults_spec_never_prints_a_traceback(tmp_path_factory, spec):
+    argv = _isolated(
+        tmp_path_factory.mktemp("faults"),
+        "--engine", "analytic", "--topology", "leaf-spine", f"--faults={spec}", "plan",
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0 or (
+        code == 1 and err.getvalue().startswith("repro: ") and err.getvalue().count("\n") == 1
+    ), err.getvalue()

@@ -16,6 +16,7 @@ from repro.telemetry.report import (
     trace_from_report,
 )
 from repro.units import MS
+from repro.workloads import FFTW, MCB, CompressionConfig
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +91,33 @@ def test_no_telemetry_campaign_is_bit_identical_and_writes_no_report(tmp_path):
     assert not (tmp_path / "off" / TELEMETRY_REPORT_NAME).exists()
     assert (tmp_path / "on" / TELEMETRY_REPORT_NAME).exists()
     assert _signature(with_telemetry) == _signature(without)
+
+
+def test_sim_runs_counts_every_executed_sim_product(tmp_path):
+    # Calibration, impacts and signatures run the simulator too, so each of
+    # the 16 products is one ``sim.runs``.
+    pipeline = ReproductionPipeline(
+        settings=PipelineSettings(
+            profile="quick",
+            seed=0,
+            impact_duration=0.01,
+            signature_duration=0.01,
+            calibration_duration=0.02,
+            probe_interval=0.1 * MS,
+        ),
+        machine_config=small_test_config(seed=0),
+        applications={
+            "fftw": FFTW(iterations=1, pack_compute=5e-5),
+            "mcb": MCB(iterations=2, track_compute=2e-4),
+        },
+        catalog=[CompressionConfig(1, 1, 2.5e6), CompressionConfig(2, 1, 2.5e5)],
+        cache_path=tmp_path / "cache",
+        telemetry=True,
+    )
+    stats = pipeline.ensure_all(workers=1)
+    counters = load_report(tmp_path / "cache" / TELEMETRY_REPORT_NAME)["counters"]
+    assert stats["executed"] == 16
+    assert counters["sim.runs"] == stats["executed"]
 
 
 def test_stats_report_none_without_cache_directory(tmp_path):

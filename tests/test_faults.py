@@ -61,6 +61,14 @@ def test_parse_rejects_non_json():
         FaultPlan.from_json("{nope")
 
 
+def test_parse_reads_a_plan_file_and_rejects_a_missing_one(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"fail": {"impact/a": [1]}}))
+    assert FaultPlan.from_json(f"@{path}").fail == {"impact/a": frozenset({1})}
+    with pytest.raises(ConfigurationError, match="cannot read"):
+        FaultPlan.from_json(f"@{tmp_path / 'missing.json'}")
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(ConfigurationError, match="must be an object"):
         FaultPlan.from_json("[1, 2]")
