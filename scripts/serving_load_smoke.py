@@ -17,7 +17,10 @@ surfaces, in one process:
    ``repro registry promote v1``, which rewrites the pointer.
 6. Serve the ``v2`` artifact with telemetry on and fire a fixed load from
    ``SUSTAINED_THREADS`` client threads: every 4th request a 24-triple
-   ``/predict/batch``, the rest single ``/predict`` calls.
+   ``/predict/batch``, the rest single ``/predict`` calls.  Throughout the
+   load, ``SLOW_CLIENTS`` connections (more than the server keeps idle
+   handler threads for) each hold a ``POST /predict`` whose body stops 98
+   bytes short of its ``Content-Length``.
 
 Asserts: zero failed requests across the flip, every client thread's
 observed version stream flips ``v1 -> v2`` exactly once (never back), the
@@ -29,12 +32,15 @@ one flip to ``v1``.  Under the fixed load: zero failed requests, at least
 ``THROUGHPUT_FLOOR_RPS`` requests per second, and a ``/predict`` p99 of at
 most ``P99_CEILING_SECONDS`` both client-side and from the server's
 ``serving.request_seconds`` histogram, which counts exactly the
-``/predict`` calls answered.  Exits non-zero on any violation.
+``/predict`` calls answered; the slow connections change none of it, and
+each gets a 408 within ``SLOW_CLIENT_SECONDS``.  Exits non-zero on any
+violation.
 """
 
 import argparse
 import concurrent.futures
 import json
+import socket
 import sys
 import threading
 import time
@@ -45,13 +51,19 @@ from repro import telemetry
 from repro.cli import main as repro
 from repro.serving import ModelRegistry, PredictionServer
 
-# Loose floors: a warm stdlib ThreadingHTTPServer on a 2-vCPU host clears
-# them five times over or more; they catch serving-path regressions.
+# Loose floors: the server clears them ten times over or more on a 2-vCPU
+# host, even with the slow clients holding their connections; they catch
+# serving-path regressions.
 THROUGHPUT_FLOOR_RPS = 50.0
 P99_CEILING_SECONDS = 0.5
 SUSTAINED_THREADS = 8
 REQUESTS_PER_THREAD = 60
 BATCH_TRIPLES = 24
+# Slow clients: a server that handed connections to a fixed pool of fewer
+# handler threads would stall the load behind them until their 408s, after
+# the handler's 10 s socket timeout.
+SLOW_CLIENTS = 24
+SLOW_CLIENT_SECONDS = 15.0
 
 
 def run_cli(*argv: str) -> None:
@@ -145,6 +157,7 @@ def sustained_load(artifact) -> str:
         ]
     }
     failures: list = []
+    slow: list = []
 
     def client(index: int) -> list:
         latencies = []
@@ -163,6 +176,11 @@ def sustained_load(artifact) -> str:
         return latencies
 
     try:
+        slow_since = time.monotonic()
+        for _ in range(SLOW_CLIENTS):
+            sock = socket.create_connection(("127.0.0.1", port), timeout=SLOW_CLIENT_SECONDS)
+            slow.append(sock)
+            sock.sendall(b"POST /predict HTTP/1.0\r\nContent-Length: 100\r\n\r\n{}")
         start = time.perf_counter()
         with concurrent.futures.ThreadPoolExecutor(
             max_workers=SUSTAINED_THREADS
@@ -176,21 +194,23 @@ def sustained_load(artifact) -> str:
         histogram = telemetry.registry().histogram_state(
             "serving.request_seconds", endpoint="/predict"
         )
+        statuses = [slow_status(sock, slow_since) for sock in slow]
     finally:
+        for sock in slow:
+            sock.close()
         server.shutdown()
         server.server_close()
         telemetry.disable()
 
     if failures:
         raise SystemExit(f"{len(failures)} requests failed: {failures[:5]}")
+    if statuses != [408] * SLOW_CLIENTS:
+        raise SystemExit(
+            f"slow clients got {statuses}, not a 408 each within {SLOW_CLIENT_SECONDS:.0f} s"
+        )
     throughput = SUSTAINED_THREADS * REQUESTS_PER_THREAD / elapsed
     p99 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
     server_p99 = telemetry.histogram_percentile(histogram, 0.99)
-    if histogram["count"] != len(latencies):
-        raise SystemExit(
-            f"histogram counted {histogram['count']} /predict calls, "
-            f"clients made {len(latencies)}"
-        )
     if throughput < THROUGHPUT_FLOOR_RPS:
         raise SystemExit(
             f"{throughput:.0f} req/s under the {THROUGHPUT_FLOOR_RPS:.0f} floor"
@@ -201,11 +221,34 @@ def sustained_load(artifact) -> str:
             f"{server_p99 * 1e3:.1f} ms from the histogram, over the "
             f"{P99_CEILING_SECONDS * 1e3:.0f} ms ceiling"
         )
+    if histogram["count"] != len(latencies):
+        raise SystemExit(
+            f"histogram counted {histogram['count']} /predict calls, "
+            f"clients made {len(latencies)}"
+        )
     return (
         f"sustained load: {throughput:.0f} req/s over {SUSTAINED_THREADS} "
         f"threads, /predict p99 {p99 * 1e3:.1f} ms client-side and "
-        f"<= {server_p99 * 1e3:.1f} ms from the histogram"
+        f"<= {server_p99 * 1e3:.1f} ms from the histogram, while "
+        f"{SLOW_CLIENTS} slow clients held their connections until their 408s"
     )
+
+
+def slow_status(sock: socket.socket, since: float) -> object:
+    """The status a slow connection got by ``since + SLOW_CLIENT_SECONDS``,
+    or why it got none."""
+    chunks = []
+    try:
+        while True:
+            sock.settimeout(max(0.01, since + SLOW_CLIENT_SECONDS - time.monotonic()))
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    except OSError as exc:
+        return repr(exc)
+    words = b"".join(chunks).split(b" ", 2)
+    return int(words[1]) if len(words) > 1 and words[1].isdigit() else repr(words)
 
 
 def main() -> int:

@@ -41,6 +41,7 @@ from . import telemetry as telemetry_mod
 from .analysis.report import FIGURES
 from .core.experiments import PipelineSettings, ReproductionPipeline
 from .errors import ConfigurationError, CorruptDocument
+from .faults import active_fault_plan
 from .parallel import RetryPolicy, admit_within_budget
 
 __all__ = ["main", "build_parser"]
@@ -754,6 +755,8 @@ def _run(args: argparse.Namespace) -> int:
     for key, value in _COMMON_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
+    # A bad REPRO_FAULTS plan fails here, once, not inside every task.
+    active_fault_plan()
     if args.telemetry is True:
         telemetry_mod.enable()
     elif args.telemetry is False:

@@ -150,7 +150,7 @@ class LinkFaultConfig:
         unknown = set(data) - {spec.name for spec in fields(cls)}
         if unknown:
             raise ConfigurationError(
-                f"unknown link-fault field(s): {', '.join(sorted(unknown))}"
+                f"unknown link-fault field(s): {', '.join(map(repr, sorted(unknown)))}"
             )
         # JSON integers become floats, as the dataclass defaults are, so a
         # rule's scenario tag does not depend on how a number was spelled.

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from . import jsonfile
+from .config import _finite
 from .errors import ConfigurationError, CorruptDocument, InjectedFault
 
 __all__ = [
@@ -51,19 +52,18 @@ __all__ = [
 ENV_VAR = "REPRO_FAULTS"
 
 #: Attempt spec: a set of 1-based attempt numbers, or None meaning "every
-#: attempt" (the JSON form is a list of ints or the string "*").
+#: attempt" (the JSON form is an int, a list of ints or the string "*").
 _Attempts = Optional[FrozenSet[int]]
 
 
 def _parse_attempts(raw: object, context: str) -> _Attempts:
     if raw == "*" or raw == "all":
         return None
-    if isinstance(raw, int):
-        return frozenset({raw})
-    if isinstance(raw, (list, tuple)) and all(isinstance(a, int) for a in raw):
-        return frozenset(raw)
+    attempts = raw if isinstance(raw, (list, tuple)) else [raw]
+    if all(isinstance(a, int) and not isinstance(a, bool) and a >= 1 for a in attempts):
+        return frozenset(attempts)
     raise ConfigurationError(
-        f"fault plan {context}: attempts must be an int, a list of ints, "
+        f"fault plan {context}: attempts must be an int >= 1, a list of them, "
         f'or "*", got {raw!r}'
     )
 
@@ -104,7 +104,7 @@ class FaultPlan:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
-                f"fault plan has unknown field(s): {', '.join(sorted(unknown))}"
+                f"fault plan has unknown field(s): {', '.join(map(repr, sorted(unknown)))}"
             )
 
         def spec(name: str) -> Dict[str, _Attempts]:
@@ -123,11 +123,18 @@ class FaultPlan:
             raise ConfigurationError(
                 "fault plan 'corrupt_shards' must be a list of shard groups"
             )
+        hang_seconds = _finite(
+            data.get("hang_seconds", 3600.0), "fault plan 'hang_seconds'"
+        )
+        if hang_seconds < 0:
+            raise ConfigurationError(
+                f"fault plan 'hang_seconds' must be >= 0, got {hang_seconds!r}"
+            )
         return cls(
             fail=spec("fail"),
             crash=spec("crash"),
             hang=spec("hang"),
-            hang_seconds=float(data.get("hang_seconds", 3600.0)),
+            hang_seconds=hang_seconds,
             corrupt_shards=tuple(corrupt),
         )
 

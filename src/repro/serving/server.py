@@ -23,12 +23,11 @@
 **The answer table.**  A fitted artifact answers a small, fixed set of
 (app, co-runner, model) triples, so each served version scores all of them
 in one :meth:`~repro.core.models.PredictionEngine.predict_batch` call when
-it loads, and keeps each :class:`~repro.core.models.PairPrediction` with
-its ``/predict/batch`` row already JSON-encoded.  Requests are answered
-from that table: a batch body is the encoded rows joined, byte-identical
-to ``json.dumps(document, sort_keys=True)``.  A request naming any triple
-the table lacks goes whole to the engine, so every error (unknown app,
-co-runner or model) keeps its type, precedence and message.
+it loads, and encodes every 200 body it can give: each ``/predict``
+document (all models, and each model alone), each triple's
+``/predict/batch`` row, and each pair's all-models rows joined.  A request
+naming any triple the table lacks goes whole to the engine, so every error
+(unknown app, co-runner or model) keeps its type, precedence and message.
 
 **Request ids.**  Every response echoes an ``X-Request-Id`` header — the
 client's, if it sent a sane one, otherwise a freshly minted hex id — and
@@ -45,26 +44,32 @@ requests pick up the new one, and zero requests fail across the flip.  A
 damaged artifact never swaps in: the watcher keeps serving the old
 version and counts ``serving.reload_failures``.
 
-**One write.**  The handler buffers its output, so a response's status
-line, headers and body leave in one ``send`` when the request ends.
+**Connections.**  The accepting loop hands each connection to a handler
+thread already waiting for one, or starts a new one, so a slow client
+delays nobody; a handler that has answered waits for the next connection
+unless :data:`MAX_IDLE_HANDLERS` already wait.  One request per connection
+(HTTP/1.0).  The handler parses the request head itself, with the standard
+library's limits and statuses (400, 414, 431, 501, 505); a header line that
+is not ``name: value`` is a 400, names match in any case, and a header's
+first occurrence wins.  The response head is formatted in one piece and
+leaves with the body in one ``send``.
 
 **Sharding.**  Pass ``reuse_port=True`` to bind with ``SO_REUSEPORT`` so
 multiple server processes can share one port (see
 :mod:`repro.serving.prefork` for the pre-forked front end).
 
-Requests are served by a :class:`ThreadingHTTPServer`; each request reads
-the serving bundle once, and the bundle is immutable, so concurrent reads
-need no locking.  With telemetry enabled, every request
-increments ``serving.requests{endpoint=...,status=...}`` and lands its
-latency in the ``serving.request_seconds{endpoint=...}`` histogram; paths
-that match no route are collapsed to a fixed ``<unknown>`` endpoint label
-so arbitrary client paths cannot explode the label space.
+With telemetry enabled, every response increments
+``serving.requests{endpoint=...,status=...}`` and lands its latency in the
+``serving.request_seconds{endpoint=...}`` histogram; unrouted paths and
+requests refused before routing count under a fixed ``<unknown>`` label,
+so clients cannot explode the label space.
 
-Bad inputs map to structured JSON errors: unknown apps/models, missing
-fields, malformed bodies, and malformed ``Content-Length`` headers are
-400s carrying the :class:`~repro.errors.ModelError` message, unknown paths
-are 404s, and a body that does not arrive within the handler's socket
-timeout is a 408 that closes the connection.  The process never dies on a
+Every error is a JSON ``{"error": ...}``: unknown apps/models, missing
+fields, malformed bodies and a ``Content-Length`` that is not ASCII digits
+are 400s carrying the :class:`~repro.errors.ModelError` message; a
+``Content-Length`` over :data:`MAX_BODY_BYTES` is a 413, answered before
+any body is read; unknown paths are 404s; a body that does not arrive
+within the handler's socket timeout is a 408.  The process never dies on a
 bad request, and a request never loses its connection without an answer.
 """
 
@@ -72,13 +77,16 @@ from __future__ import annotations
 
 import json
 import os
+import queue
+import re
 import socket
 import threading
 import time
 import traceback
 import uuid
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -108,11 +116,25 @@ UNVERSIONED = "unversioned"
 #: Seconds between a server's periodic fleet stats publishes.
 STATS_INTERVAL = 2.0
 
+#: Idle handler threads a server keeps waiting for connections.
+MAX_IDLE_HANDLERS = 16
+
+#: Largest request body a ``Content-Length`` may announce: 1 MiB, several
+#: hundred times a paper-sized batch request (about 1.3 KB).
+MAX_BODY_BYTES = 1 << 20
+
+#: The standard library's request-head limits: bytes in one line, CRLF
+#: included, and header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
 
 #: A served triple and what it answers: the prediction and its
 #: ``/predict/batch`` row, encoded as ``json.dumps(row, sort_keys=True)``.
 Triple = Tuple[str, str, str]
 Answer = Tuple[PairPrediction, bytes]
+#: A ``/predict`` query: (app, co-runner, model, or ``None`` for all models).
+Query = Tuple[str, str, Optional[str]]
 
 
 def _encode_row(prediction: PairPrediction) -> bytes:
@@ -125,6 +147,19 @@ def _encode_row(prediction: PairPrediction) -> bytes:
     return json.dumps(row, sort_keys=True).encode("utf-8")
 
 
+def _encode_document(
+    app: str, other: str, version: str, predictions: Sequence[PairPrediction]
+) -> bytes:
+    """A ``/predict`` body."""
+    predicted = {p.model: p.predicted for p in predictions}
+    document = {"app": app, "other": other, "version": version, "predictions": predicted}
+    return json.dumps(document, sort_keys=True).encode("utf-8")
+
+
+#: A request line's HTTP version, its numbers bounded as the stdlib bounds them.
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.\d{1,10}", re.ASCII)
+
+
 @dataclass(frozen=True)
 class ServingState:
     """One immutable (artifact, engine, version, answer table) bundle.
@@ -133,17 +168,24 @@ class ServingState:
     builds a complete replacement, answer table included, and swaps the
     reference in a single assignment.  Handlers read the reference once per
     request, so a request never sees a half-updated mix of two versions.
+
+    ``documents`` holds every ``/predict`` body the table answers, keyed by
+    query, and ``pair_rows`` each fully answered pair's ``/predict/batch``
+    rows for all models, joined.
     """
 
     artifact: ModelArtifact
     engine: PredictionEngine
     version: str
     answers: Dict[Triple, Answer]
+    documents: Dict[Query, bytes]
+    pair_rows: Dict[Tuple[str, str], bytes]
     loaded_at: float = field(default_factory=time.time)
 
     @classmethod
     def load(cls, artifact: ModelArtifact, version: str) -> "ServingState":
-        """Fit ``artifact`` and table every triple its engine answers.
+        """Fit ``artifact``, table every triple its engine answers, and
+        encode every answer the table gives.
 
         One ``predict_batch`` call scores every (app, co-runner, model)
         triple.  If the engine refuses some triple (say, a co-runner
@@ -152,9 +194,10 @@ class ServingState:
         so a request for another still reaches the engine's error.
         """
         engine = artifact.engine()
+        names = engine.model_names
         triples = [
             (app, other, model)
-            for model in engine.model_names
+            for model in names
             for app in artifact.degradations
             for other in engine.signatures
         ]
@@ -170,21 +213,71 @@ class ServingState:
         answers = {
             (p.app, p.other, p.model): (p, _encode_row(p)) for p in predictions
         }
-        return cls(artifact, engine, version, answers)
+        documents: Dict[Query, bytes] = {}
+        pair_rows: Dict[Tuple[str, str], bytes] = {}
+        for app in artifact.degradations:
+            for other in engine.signatures:
+                pair = [answers.get((app, other, name)) for name in names]
+                for name, answer in zip(names, pair):
+                    if answer is not None:
+                        documents[app, other, name] = _encode_document(
+                            app, other, version, [answer[0]]
+                        )
+                if None not in pair:
+                    documents[app, other, None] = _encode_document(
+                        app, other, version, [p for p, _row in pair]
+                    )
+                    pair_rows[app, other] = b", ".join(row for _p, row in pair)
+        return cls(artifact, engine, version, answers, documents, pair_rows)
 
-    def answer(self, triples: List[Triple]) -> List[Answer]:
-        """The answers to ``triples``, in order, as ``predict_batch`` gives them.
+    def predict_body(self, app: str, other: str, model: Optional[str]) -> bytes:
+        """The ``/predict`` body for one pairing; all models when ``model`` is None.
 
-        A request holding any triple the table lacks goes whole to the
-        engine, which raises the error the table would have hidden.
+        A query the table lacks goes to the engine, which raises the error
+        the table would have hidden.
         """
-        answers = self.answers
+        body = self.documents.get((app, other, model))
+        if body is None:
+            names = self.engine.model_names if model is None else [model]
+            predictions = self.engine.predict_batch(
+                [(app, other, name) for name in names]
+            )
+            body = _encode_document(app, other, self.version, predictions)
+        return body
+
+    def batch_rows(self, queries: Sequence[Query]) -> bytes:
+        """The ``/predict/batch`` rows for ``queries``, in order, joined.
+
+        A request holding any query the table lacks goes whole to the
+        engine, as in :meth:`predict_body`.
+        """
         try:
-            return [answers[triple] for triple in triples]
-        except KeyError:
-            return [
-                (p, _encode_row(p)) for p in self.engine.predict_batch(triples)
+            rows = [
+                self.pair_rows[app, other]
+                if model is None
+                else self.answers[app, other, model][1]
+                for app, other, model in queries
             ]
+        except KeyError:
+            names = self.engine.model_names
+            triples = [
+                (app, other, name)
+                for app, other, model in queries
+                for name in (names if model is None else [model])
+            ]
+            rows = [_encode_row(p) for p in self.engine.predict_batch(triples)]
+        return b", ".join(rows)
+
+
+class _Headers(dict):
+    """Request headers by lower-cased name; the first occurrence wins."""
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:  # type: ignore[override]
+        return dict.get(self, name.lower(), default)
+
+
+class _BodyTooLarge(ModelError):
+    """A ``Content-Length`` over :data:`MAX_BODY_BYTES`."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -192,23 +285,86 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "PredictionServer"  # type: ignore[assignment]
 
-    # Buffer the response so its status line, headers and body leave in one
-    # send: ``handle_one_request`` flushes after each request, and
-    # ``finish`` after the stdlib's own error replies.  64 KiB holds a
-    # paper-sized batch answer (about 13 KB) many times over.
+    # Buffer the response so that it leaves in one send when
+    # ``handle_one_request`` flushes.  64 KiB holds a paper-sized batch
+    # answer (about 13 KB) many times over.
     wbufsize = 1 << 16
 
     # Seconds a socket read or write may block.  Without it a client whose
     # Content-Length promises more bytes than it sends holds its handler
-    # thread until shutdown; with it, such a body gets a 408, and an idle
-    # keep-alive connection is closed by the stdlib's own timeout handling.
+    # thread until shutdown; with it, such a body gets a 408, and a head
+    # that never ends closes the connection.
     timeout = 10.0
+
+    # Until a request head parses, a handler has no path and no headers.
+    path = ""
+    headers = _Headers()
 
     # Silence the default stderr access log — the serving metrics cover it.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass
 
     # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Parse the request line and read the headers; False once a bad head
+        is answered."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if int(match[1]) >= 2:
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+        self.command = command
+        # A path starting with '//' reads as a scheme-less absolute URI.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        headers = _Headers()
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                self.headers = headers
+                return True
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or name.split() != [name]:
+                self.send_error(400, f"Bad header line ({line[:100]!r})")
+                return False
+            headers.setdefault(name.lower(), value.strip(" \t\r\n"))
+        self.send_error(431, "Too many headers")
+        return False
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Answer a request refused before routing as a counted JSON error."""
+        t0 = time.perf_counter()
+        code = int(code)
+        # The reply carries a status line even when the request's version
+        # was never read.
+        self.request_version = self.protocol_version
+        self._begin_request()
+        self._error(code, message or self.responses[code][0], UNKNOWN_ENDPOINT, t0)
+
     def _begin_request(self) -> str:
         """Adopt the client's ``X-Request-Id`` (sanitized) or mint one.
 
@@ -258,30 +414,36 @@ class _Handler(BaseHTTPRequestHandler):
                 method=self.command,
                 path=self.path,
             )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-Id", getattr(self, "request_id", ""))
-        self.end_headers()
+        if self.request_version != "HTTP/0.9":
+            head = (
+                f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.server.http_date()}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"X-Request-Id: {self.request_id}\r\n\r\n"
+            )
+            body = head.encode("latin-1") + body
         self.wfile.write(body)
 
     def _send_json(self, status: int, document: dict, endpoint: str, t0: float) -> None:
         body = json.dumps(document, sort_keys=True).encode("utf-8")
         self._finish(status, body, "application/json", endpoint, t0)
 
-    def _send_text(
-        self, status: int, text: str, endpoint: str, t0: float, content_type: str
-    ) -> None:
-        self._finish(status, text.encode("utf-8"), content_type, endpoint, t0)
+    def _error(self, status: int, message: str, endpoint: str, t0: float) -> None:
+        self._send_json(status, {"error": message}, endpoint, t0)
 
     def _read_body(self) -> dict:
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length or 0)
-        except ValueError as exc:
-            raise ModelError(
-                f"malformed Content-Length header {raw_length!r}"
-            ) from exc
+        raw_length = self.headers.get("Content-Length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ModelError(f"malformed Content-Length header {raw_length!r}")
+        digits = raw_length.lstrip("0") or "0"
+        # int() refuses digit strings past the interpreter's limit.
+        length = int(digits) if len(digits) < 20 else MAX_BODY_BYTES + 1
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"Content-Length is over the {MAX_BODY_BYTES}-byte request body limit"
+            )
         raw = self.rfile.read(length) if length > 0 else b""
         if not raw:
             raise ModelError("request body must be a JSON object")
@@ -312,58 +474,37 @@ class _Handler(BaseHTTPRequestHandler):
                 },
                 t0,
             )
-        elif url.path == "/metrics":
-            snapshot = telemetry.registry().snapshot()
+        elif url.path in ("/metrics", "/metrics/fleet"):
+            fleet_view = url.path == "/metrics/fleet"
+            document = self.server.fleet() if fleet_view else telemetry.registry().snapshot()
             if self._wants_prometheus():
-                self._send_text(
-                    200,
-                    render_prometheus(snapshot),
-                    "/metrics",
-                    t0,
-                    PROMETHEUS_CONTENT_TYPE,
-                )
+                text = render_prometheus(document["metrics"] if fleet_view else document)
+                self._finish(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE, url.path, t0)
             else:
-                self._send_json(200, snapshot, "/metrics", t0)
-        elif url.path == "/metrics/fleet":
-            document = self.server.fleet()
-            if self._wants_prometheus():
-                self._send_text(
-                    200,
-                    render_prometheus(document["metrics"]),
-                    "/metrics/fleet",
-                    t0,
-                    PROMETHEUS_CONTENT_TYPE,
-                )
-            else:
-                self._send_json(200, document, "/metrics/fleet", t0)
+                self._send_json(200, document, url.path, t0)
         else:
-            self._send_json(
-                404, {"error": f"unknown path {url.path!r}"}, UNKNOWN_ENDPOINT, t0
-            )
+            self._error(404, f"unknown path {url.path!r}", UNKNOWN_ENDPOINT, t0)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         t0 = time.perf_counter()
         self._begin_request()
         url = urlparse(self.path)
         if url.path not in ("/predict", "/predict/batch"):
-            self._send_json(
-                404, {"error": f"unknown path {url.path!r}"}, UNKNOWN_ENDPOINT, t0
-            )
+            self._error(404, f"unknown path {url.path!r}", UNKNOWN_ENDPOINT, t0)
             return
         try:
             body = self._read_body()
         except TimeoutError:
             # What did arrive is unframed, so the connection cannot be reused.
             self.close_connection = True
-            self._send_json(
-                408,
-                {"error": f"request body did not arrive within {self.timeout}s"},
-                url.path,
-                t0,
-            )
+            message = f"request body did not arrive within {self.timeout}s"
+            self._error(408, message, url.path, t0)
+            return
+        except _BodyTooLarge as exc:
+            self._error(413, str(exc), url.path, t0)
             return
         except ModelError as exc:
-            self._send_json(400, {"error": str(exc)}, url.path, t0)
+            self._error(400, str(exc), url.path, t0)
             return
         if url.path == "/predict":
             self._predict(body, t0)
@@ -376,27 +517,18 @@ class _Handler(BaseHTTPRequestHandler):
         other = request.get("other")
         model = request.get("model")
         if not app or not other:
-            self._send_json(
-                400,
-                {"error": "both 'app' and 'other' are required"},
-                "/predict",
-                t0,
-            )
+            self._error(400, "both 'app' and 'other' are required", "/predict", t0)
             return
         if model is not None and not isinstance(model, str):
-            self._send_json(
-                400,
-                {"error": "'model' must be a model name, or null for all models"},
-                "/predict",
-                t0,
-            )
+            message = "'model' must be a model name, or null for all models"
+            self._error(400, message, "/predict", t0)
             return
         try:
-            document = self.server.predict_one(str(app), str(other), model)
+            body = self.server.state.predict_body(str(app), str(other), model or None)
         except ReproError as exc:
-            self._send_json(400, {"error": str(exc)}, "/predict", t0)
+            self._error(400, str(exc), "/predict", t0)
             return
-        self._send_json(200, document, "/predict", t0)
+        self._finish(200, body, "application/json", "/predict", t0)
 
     def _predict_batch(self, body: dict, t0: float) -> None:
         try:
@@ -414,20 +546,16 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                 model = entry[2] if len(entry) == 3 else None
                 pairs.append(
-                    (
-                        str(entry[0]),
-                        str(entry[1]),
-                        str(model) if model is not None else None,
-                    )
+                    (str(entry[0]), str(entry[1]), None if model is None else str(model))
                 )
             body = self.server.predict_batch(pairs)
         except ReproError as exc:
-            self._send_json(400, {"error": str(exc)}, "/predict/batch", t0)
+            self._error(400, str(exc), "/predict/batch", t0)
             return
         self._finish(200, body, "application/json", "/predict/batch", t0)
 
 
-class PredictionServer(ThreadingHTTPServer):
+class PredictionServer(HTTPServer):
     """Serves a fitted prediction engine over HTTP, hot-reloadable.
 
     Args:
@@ -452,7 +580,9 @@ class PredictionServer(ThreadingHTTPServer):
     ``/healthz``.
     """
 
-    daemon_threads = True
+    # A burst of connections waits in the kernel's accept queue, rather than
+    # having its connection attempts dropped and retried a second later.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,
@@ -476,12 +606,9 @@ class PredictionServer(ThreadingHTTPServer):
             version = str(artifact.metadata.get("version") or UNVERSIONED)
         # Load before binding, so a version that fails to load leaves no
         # listening socket behind.
-        state = ServingState.load(artifact, version)
-        self._reuse_port = reuse_port  # consumed by server_bind during init
-        super().__init__((host, port), _Handler)
+        self.state = ServingState.load(artifact, version)
         self.registry = registry
         self.reload_interval = reload_interval
-        self.state = state
         self.started_at = time.time()
         self.reloads = 0
         self.reload_failures = 0
@@ -490,13 +617,23 @@ class PredictionServer(ThreadingHTTPServer):
         self._requests_lock = threading.Lock()
         self._stop_watcher = threading.Event()
         self._watcher: Optional[threading.Thread] = None
+        self.stats_dir = Path(stats_dir) if stats_dir is not None else None
+        self._stats_thread: Optional[threading.Thread] = None
+        # Handler threads waiting for a connection, and the queue that hands
+        # them one; ``(None, None)`` releases a waiting handler.
+        self._idle = 0
+        self._idle_lock = threading.Lock()
+        self._handoff: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
+        self._closed = False
+        self._date = (0, "")
+        self._reuse_port = reuse_port  # consumed by server_bind during init
+        # Every attribute server_close reads is set: a failed bind calls it.
+        super().__init__((host, port), _Handler)
         if registry is not None:
             self._watcher = threading.Thread(
                 target=self._watch_registry, daemon=True, name="registry-watcher"
             )
             self._watcher.start()
-        self.stats_dir = Path(stats_dir) if stats_dir is not None else None
-        self._stats_thread: Optional[threading.Thread] = None
         if self.stats_dir is not None:
             self.publish_stats()
             self._stats_thread = threading.Thread(
@@ -530,6 +667,52 @@ class PredictionServer(ThreadingHTTPServer):
         if self._reuse_port:
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
+
+    # ------------------------------------------------------------------
+    # Handler threads
+    # ------------------------------------------------------------------
+    def process_request(self, request: socket.socket, client_address: tuple) -> None:
+        """Hand the connection to a waiting handler thread, or start one."""
+        with self._idle_lock:
+            waiting = self._idle > 0
+            if waiting:
+                self._idle -= 1
+                self._handoff.put((request, client_address))
+        if not waiting:
+            threading.Thread(
+                target=self._handle_connections,
+                args=(request, client_address),
+                daemon=True,
+            ).start()
+
+    def _handle_connections(
+        self, request: Optional[socket.socket], client_address: Optional[tuple]
+    ) -> None:
+        """Serve connections until the server closes or enough handlers idle.
+
+        A handler counts itself idle before it closes its connection, so a
+        client's next request finds it waiting.
+        """
+        while request is not None:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - one connection's failure ends only it
+                self.handle_error(request, client_address)
+            with self._idle_lock:
+                waiting = not self._closed and self._idle < MAX_IDLE_HANDLERS
+                if waiting:
+                    self._idle += 1
+            self.shutdown_request(request)
+            if not waiting:
+                return
+            request, client_address = self._handoff.get()
+
+    def http_date(self) -> str:
+        """The ``Date`` header's value, formatted at most once a second."""
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, formatdate(now, usegmt=True))
+        return self._date[1]
 
     # ------------------------------------------------------------------
     # Hot reload
@@ -661,18 +844,6 @@ class PredictionServer(ThreadingHTTPServer):
             "version": state.version,
         }
 
-    def predict_one(self, app: str, other: str, model: Optional[str]) -> dict:
-        """One pairing; all models when ``model`` is omitted."""
-        state = self.state
-        names = [model] if model else state.engine.model_names
-        answers = state.answer([(app, other, name) for name in names])
-        return {
-            "app": app,
-            "other": other,
-            "version": state.version,
-            "predictions": {p.model: p.predicted for p, _row in answers},
-        }
-
     def predict_batch(
         self, pairs: Sequence[Tuple[str, str, Optional[str]]]
     ) -> bytes:
@@ -683,23 +854,17 @@ class PredictionServer(ThreadingHTTPServer):
         sort_keys=True)`` byte for byte.
         """
         state = self.state
-        triples: List[Triple] = []
-        for app, other, model in pairs:
-            if model is None:
-                triples.extend(
-                    (app, other, name) for name in state.engine.model_names
-                )
-            else:
-                triples.append((app, other, model))
-        answers = state.answer(triples)
+        rows = state.batch_rows(pairs)
         if telemetry.enabled():
+            models = len(state.engine.model_names)
             telemetry.registry().counter_inc(
-                "serving.predictions", amount=float(len(answers))
+                "serving.predictions",
+                amount=float(sum(models if m is None else 1 for _a, _o, m in pairs)),
             )
         return b"".join(
             (
                 b'{"predictions": [',
-                b", ".join(row for _p, row in answers),
+                rows,
                 b'], "version": ',
                 json.dumps(state.version).encode("utf-8"),
                 b"}",
@@ -714,6 +879,11 @@ class PredictionServer(ThreadingHTTPServer):
         return thread
 
     def server_close(self) -> None:
+        with self._idle_lock:
+            self._closed = True
+            for _ in range(self._idle):
+                self._handoff.put((None, None))
+            self._idle = 0
         self._stop_watcher.set()
         if self._watcher is not None:
             self._watcher.join(timeout=5.0)

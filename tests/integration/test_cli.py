@@ -303,3 +303,25 @@ def test_cli_faults_spec_never_prints_a_traceback(tmp_path_factory, spec):
     assert code == 0 or (
         code == 1 and err.getvalue().startswith("repro: ") and err.getvalue().count("\n") == 1
     ), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        '{"hang_seconds": "x"}',
+        '{"hang_seconds": [1]}',
+        '{"hang_seconds": -5}',
+        '{"hang_seconds": NaN}',
+        '{"fail": {"k": [true]}}',
+        '{"fail": {"k": true}}',
+        '{"fail": {"k": [0, -3]}}',
+        '{"nope": 1}',
+    ],
+)
+def test_cli_bad_fault_plan_fails_once_before_any_work(tmp_path, capsys, monkeypatch, plan):
+    monkeypatch.setenv("REPRO_FAULTS", plan)
+    argv = _isolated(tmp_path, "--engine", "analytic", "--profile", "quick", "campaign")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: fault plan") and err.count("\n") == 1, err
+    assert not (tmp_path / "cache").exists()

@@ -56,6 +56,34 @@ def test_parse_rejects_bad_attempts():
         FaultPlan.from_dict({"fail": {"k": "sometimes"}})
 
 
+@pytest.mark.parametrize(
+    "plan, match",
+    [
+        ({"hang_seconds": "x"}, "must be a number"),
+        ({"hang_seconds": [1]}, "must be a number"),
+        ({"hang_seconds": True}, "must be a number"),
+        ({"hang_seconds": -5}, "must be >= 0"),
+        ({"hang_seconds": float("nan")}, "must be finite"),
+        ({"hang_seconds": float("inf")}, "must be finite"),
+        ({"fail": {"k": [True]}}, "attempts"),
+        ({"fail": {"k": True}}, "attempts"),
+        ({"crash": {"k": [0, -3]}}, "attempts"),
+        ({"hang": {"k": 0}}, "attempts"),
+        ({"fail": {"k": [1.0]}}, "attempts"),
+    ],
+)
+def test_parse_rejects_bad_hang_seconds_and_attempts(plan, match):
+    with pytest.raises(ConfigurationError, match=match):
+        FaultPlan.from_dict(plan)
+
+
+def test_parse_accepts_whole_and_zero_hang_seconds():
+    assert FaultPlan.from_dict({"hang_seconds": 0}).hang_seconds == 0.0
+    plan = FaultPlan.from_dict({"hang_seconds": 5, "hang": {"k": 2}})
+    assert plan.hang_seconds == 5.0 and isinstance(plan.hang_seconds, float)
+    assert plan.hang == {"k": frozenset({2})}
+
+
 def test_parse_rejects_non_json():
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         FaultPlan.from_json("{nope")
