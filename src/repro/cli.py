@@ -256,13 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="adaptive planning rounds after the bootstrap (default 8)",
         )
         cmd.add_argument(
-            "--labels-per-round",
-            type=int,
-            default=2,
-            help="CompressionB configs whose degradation rows each round "
-            "completes (default 2)",
-        )
-        cmd.add_argument(
             "--cost-from",
             metavar="FILE",
             default=None,
@@ -801,7 +794,7 @@ def _run(args: argparse.Namespace) -> int:
         )
         campaign = PlannedCampaign(
             pipeline,
-            get_planner(args.planner, labels_per_round=args.labels_per_round),
+            get_planner(args.planner),
             measurement_budget=args.measurement_budget,
             max_rounds=args.max_rounds,
             cost_model=cost_model,

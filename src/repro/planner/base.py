@@ -53,13 +53,13 @@ class PlanContext:
     cost_model: CostModel
     seed: int
 
-    def unmeasured_labels(self) -> Tuple[str, ...]:
-        """Labels with a known utilization but an incomplete degradation row."""
-        complete = set(self.complete_labels)
+    def runnable_labels(self) -> Tuple[str, ...]:
+        """Labels with a known utilization and a degradation key left to run
+        (so never a complete label)."""
         return tuple(
             label
             for label in self.catalog_labels
-            if label in self.utilization and label not in complete
+            if label in self.utilization and self.degradation_keys(label)
         )
 
     def degradation_keys(self, label: str) -> Tuple[str, ...]:

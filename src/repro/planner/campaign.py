@@ -60,6 +60,27 @@ _PATIENCE = 2
 #: paper's best-performing predictor).
 _HOLDOUT_MODEL = "Queue"
 
+#: The ``ensure_products`` stats each round's trace entry records (the
+#: bootstrap's entry sums its two calls').
+_ROUND_STATS = (
+    "executed",
+    "cached",
+    "failed",
+    "unsupported",
+    "skipped",
+    "budget_spent",
+    "budget_refunded",
+)
+
+
+@dataclass(frozen=True)
+class _Snapshot(PlanContext):
+    """One read of the measured state: the context a round plans against,
+    plus each measured config's parsed signature (the observations a
+    partial engine is fitted on)."""
+
+    observations: Dict[str, CompressionObservation]
+
 
 @dataclass
 class PlanResult:
@@ -189,134 +210,109 @@ class PlannedCampaign:
     # ------------------------------------------------------------------
     # Measured-state snapshots
     # ------------------------------------------------------------------
-    def _usable_apps(self) -> List[str]:
-        """Apps whose impact and baseline landed (refusals drop out)."""
-        return [
+    def _context(self, round_index: int = 0) -> _Snapshot:
+        """The measured state: every landed signature and degradation point,
+        each read and parsed once, for round ``round_index`` to plan against.
+
+        Apps whose impact or baseline is missing (typically a refusal
+        upstream) drop out.  Complete labels have a signature and a
+        degradation point for every remaining app; the fits use only those.
+        """
+        pipeline = self.pipeline
+        labels = [config.label for config in pipeline.catalog]
+        apps = [
             name
-            for name in self.pipeline.app_names
-            if self.pipeline.has_product(f"impact/{name}")
-            and self.pipeline.has_product(f"baseline/{name}")
+            for name in pipeline.app_names
+            if pipeline.has_product(f"impact/{name}")
+            and pipeline.has_product(f"baseline/{name}")
         ]
-
-    def _utilization(self) -> Dict[str, float]:
-        table: Dict[str, float] = {}
-        for config in self.pipeline.catalog:
-            raw = f"comp_sig/{config.label}"
-            if self.pipeline.has_product(raw):
-                observation = CompressionObservation.from_dict(
-                    self.pipeline.product(raw)
-                )
-                table[config.label] = observation.utilization
-        return table
-
-    def _degradations(self, apps: List[str]) -> Dict[str, Dict[str, float]]:
-        table: Dict[str, Dict[str, float]] = {}
-        for name in apps:
-            row: Dict[str, float] = {}
-            for config in self.pipeline.catalog:
-                raw = f"degradation/{name}/{config.label}"
-                if self.pipeline.has_product(raw):
-                    row[config.label] = float(self.pipeline.product(raw))
-            table[name] = row
-        return table
-
-    def _complete_labels(
-        self,
-        apps: List[str],
-        utilization: Dict[str, float],
-        degradations: Dict[str, Dict[str, float]],
-    ) -> List[str]:
-        """Labels with a signature and a degradation point for every app."""
-        if not apps:
-            return []
-        return [
-            config.label
-            for config in self.pipeline.catalog
-            if config.label in utilization
-            and all(config.label in degradations[name] for name in apps)
+        observations = {
+            label: CompressionObservation.from_dict(
+                pipeline.product(f"comp_sig/{label}")
+            )
+            for label in labels
+            if pipeline.has_product(f"comp_sig/{label}")
+        }
+        utilization = {
+            label: observation.utilization
+            for label, observation in observations.items()
+        }
+        degradations = {
+            name: {
+                label: float(pipeline.product(f"degradation/{name}/{label}"))
+                for label in labels
+                if pipeline.has_product(f"degradation/{name}/{label}")
+            }
+            for name in apps
+        }
+        complete = [
+            label
+            for label in utilization
+            if apps and all(label in degradations[name] for name in apps)
         ]
-
-    def _fits(
-        self,
-        apps: List[str],
-        utilization: Dict[str, float],
-        degradations: Dict[str, Dict[str, float]],
-        labels: List[str],
-    ) -> Dict[str, LinearFit]:
         fits: Dict[str, LinearFit] = {}
         for name in apps:
             points = [
                 (utilization[label], degradations[name][label])
-                for label in labels
+                for label in complete
             ]
             try:
                 fits[name] = fit_degradation_trend(points)
             except ExperimentError:
                 continue  # < 2 points or no x-spread yet
-        return fits
-
-    def _context(self, round_index: int) -> PlanContext:
-        apps = self._usable_apps()
-        utilization = self._utilization()
-        degradations = self._degradations(apps)
-        labels = self._complete_labels(apps, utilization, degradations)
-        return PlanContext(
+        return _Snapshot(
             round_index=round_index,
             app_names=tuple(apps),
-            catalog_labels=tuple(
-                config.label for config in self.pipeline.catalog
-            ),
+            catalog_labels=tuple(labels),
             utilization=utilization,
             degradations=degradations,
-            complete_labels=tuple(labels),
-            fits=self._fits(apps, utilization, degradations, labels),
+            complete_labels=tuple(complete),
+            fits=fits,
             refused=frozenset(self._refused),
             cost_model=self.cost_model,
             seed=self.seed,
+            observations=observations,
         )
 
-    def partial_engine(self) -> Optional[PredictionEngine]:
+    def partial_engine(
+        self, snapshot: Optional[_Snapshot] = None
+    ) -> Optional[PredictionEngine]:
         """A prediction engine fitted on what has been measured *so far*.
 
         Never triggers new experiments (unlike ``pipeline.engine()``, which
         computes anything missing): observations are restricted to the
         complete labels so the fitted table has a full column per
         observation, and apps without a landed impact/baseline drop out.
+        Reads a fresh snapshot unless given one.
         """
-        apps = self._usable_apps()
-        utilization = self._utilization()
-        degradations = self._degradations(apps)
-        labels = self._complete_labels(apps, utilization, degradations)
+        if snapshot is None:
+            snapshot = self._context()
+        apps, labels = snapshot.app_names, snapshot.complete_labels
         if not apps or not labels:
             return None
-        observations = [
-            CompressionObservation.from_dict(
-                self.pipeline.product(f"comp_sig/{label}")
-            )
-            for label in labels
-        ]
-        signatures = {
-            name: ImpactResult.from_dict(
-                self.pipeline.product(f"impact/{name}")
-            ).signature
-            for name in apps
-        }
         return PredictionEngine(
-            observations=observations,
+            observations=[snapshot.observations[label] for label in labels],
             degradations={
-                name: {label: degradations[name][label] for label in labels}
+                name: {label: snapshot.degradations[name][label] for label in labels}
                 for name in apps
             },
-            signatures=signatures,
+            signatures={
+                name: ImpactResult.from_dict(
+                    self.pipeline.product(f"impact/{name}")
+                ).signature
+                for name in apps
+            },
             models=default_models(),
         )
 
-    def _holdout_error(self) -> Optional[float]:
+    def _holdout_error(self, snapshot: Optional[_Snapshot] = None) -> Optional[float]:
         """Mean |measured − predicted| over the measured holdout pairs."""
-        engine = self.partial_engine()
+        if snapshot is None:
+            snapshot = self._context()
+        engine = self.partial_engine(snapshot)
         if engine is None:
             return None
-        apps = set(self._usable_apps())
+        apps = set(snapshot.app_names)
         errors: List[float] = []
         for measured_app, other in self._holdout_pairs:
             if measured_app not in apps or other not in apps:
@@ -334,14 +330,16 @@ class PlannedCampaign:
     # ------------------------------------------------------------------
     # Round execution
     # ------------------------------------------------------------------
-    def _next_holdout(self) -> List[str]:
+    def _next_holdout(self, snapshot: Optional[_Snapshot] = None) -> List[str]:
         """Raw keys of the next slice of the seeded pair schedule.
 
         Pairs involving an unusable app (impact or baseline missing —
         typically a model refusal upstream) are dropped, not deferred:
         requesting them would only mint dependency holes.
         """
-        usable = set(self._usable_apps())
+        if snapshot is None:
+            snapshot = self._context()
+        usable = set(snapshot.app_names)
         keys: List[str] = []
         while (
             len(keys) < self.holdout_per_round
@@ -373,8 +371,8 @@ class PlannedCampaign:
                 self._refused.add(self.pipeline.raw_key(record["key"]))
         return stats
 
+    @staticmethod
     def _round_entry(
-        self,
         round_index: int,
         stage: str,
         keys: List[str],
@@ -384,22 +382,16 @@ class PlannedCampaign:
         error: Optional[float],
         stable: int,
     ) -> Dict[str, object]:
-        return {
+        entry: Dict[str, object] = {
             "round": round_index,
             "stage": stage,
             "labels": list(labels),
             "reason": reason,
             "requested": list(keys),
-            "executed": stats["executed"],
-            "cached": stats["cached"],
-            "failed": stats["failed"],
-            "unsupported": stats["unsupported"],
-            "skipped": list(stats["skipped"]),
-            "budget_spent": stats["budget_spent"],
-            "budget_refunded": stats["budget_refunded"],
-            "holdout_error": error,
-            "stable_rounds": stable,
         }
+        entry.update((name, stats[name]) for name in _ROUND_STATS)
+        entry.update(holdout_error=error, stable_rounds=stable)
+        return entry
 
     def _accumulate(self, result: PlanResult, stats: Dict[str, object]) -> None:
         result.executed += stats["executed"]
@@ -450,10 +442,17 @@ class PlannedCampaign:
         )
         remaining = self.budget
 
-        def spend(stats: Dict[str, object]) -> Optional[float]:
-            if remaining is None:
-                return None
-            return max(0.0, remaining - float(stats["budget_spent"]))
+        def measure(
+            keys: List[str], next_round: int
+        ) -> Tuple[Dict[str, object], _Snapshot]:
+            """Run ``keys`` under the remaining budget, then read the state
+            the next round plans against."""
+            nonlocal remaining
+            stats = self._run_subset(keys, remaining)
+            self._accumulate(result, stats)
+            if remaining is not None:
+                remaining = max(0.0, remaining - float(stats["budget_spent"]))
+            return stats, self._context(next_round)
 
         # -- bootstrap: instrument sweep, then seed rows + first holdout --
         with telemetry.span("planner:bootstrap", "planner", strategy=self.planner.name):
@@ -463,21 +462,16 @@ class PlannedCampaign:
                 f"comp_sig/{config.label}" for config in self.pipeline.catalog
             ]
             sweep += [f"baseline/{name}" for name in self.pipeline.app_names]
-            stats = self._run_subset(sweep, remaining)
-            self._accumulate(result, stats)
-            remaining = spend(stats)
+            sweep_stats, snapshot = measure(sweep, 0)
 
-            seed_keys: List[str] = []
-            context = self._context(0)
-            seed_labels = self._seed_labels(context.utilization)
-            for label in seed_labels:
-                seed_keys.extend(context.degradation_keys(label))
-            seed_keys.extend(self._next_holdout())
-            seed_stats = self._run_subset(seed_keys, remaining)
-            self._accumulate(result, seed_stats)
-            remaining = spend(seed_stats)
+            seed_labels = self._seed_labels(snapshot.utilization)
+            seed_keys = [
+                key for label in seed_labels for key in snapshot.degradation_keys(label)
+            ]
+            seed_keys += self._next_holdout(snapshot)
+            seed_stats, snapshot = measure(seed_keys, 1)
 
-        error = self._holdout_error()
+        error = self._holdout_error(snapshot)
         result.holdout_errors.append(error)
         result.rounds.append(
             self._round_entry(
@@ -486,22 +480,7 @@ class PlannedCampaign:
                 sweep + seed_keys,
                 tuple(seed_labels),
                 "instrument sweep + min/median/max-utilization seed rows",
-                {
-                    key: (
-                        stats[key] + seed_stats[key]
-                        if isinstance(stats[key], (int, float))
-                        else list(stats[key]) + list(seed_stats[key])
-                    )
-                    for key in (
-                        "executed",
-                        "cached",
-                        "failed",
-                        "unsupported",
-                        "skipped",
-                        "budget_spent",
-                        "budget_refunded",
-                    )
-                },
+                {name: sweep_stats[name] + seed_stats[name] for name in _ROUND_STATS},
                 error,
                 0,
             )
@@ -514,9 +493,8 @@ class PlannedCampaign:
             if remaining is not None and remaining <= 1e-9:
                 result.stop_reason = "budget-exhausted"
                 break
-            context = self._context(round_index)
-            proposal = self.planner.propose(context, remaining)
-            keys = list(proposal.keys) + self._next_holdout()
+            proposal = self.planner.propose(snapshot, remaining)
+            keys = list(proposal.keys) + self._next_holdout(snapshot)
             if not keys:
                 result.stop_reason = "nothing-to-propose"
                 break
@@ -528,11 +506,9 @@ class PlannedCampaign:
                 strategy=self.planner.name,
                 selected=len(keys),
             ):
-                stats = self._run_subset(keys, remaining)
-            self._accumulate(result, stats)
-            remaining = spend(stats)
+                stats, snapshot = measure(keys, round_index + 1)
 
-            error = self._holdout_error()
+            error = self._holdout_error(snapshot)
             previous = result.holdout_errors[-1]
             if (
                 error is not None

@@ -26,12 +26,18 @@ from ..errors import ConfigurationError
 from .base import PlanContext, PlanProposal, Planner
 
 __all__ = [
+    "LABELS_PER_ROUND",
     "UncertaintyPlanner",
     "GreedyCostPlanner",
     "available_planners",
     "get_planner",
     "holdout_schedule",
 ]
+
+
+#: CompressionB configs whose degradation rows (config × every app) each
+#: round completes.
+LABELS_PER_ROUND = 2
 
 
 def holdout_schedule(
@@ -60,6 +66,19 @@ def _score_order(scores: Dict[str, float]) -> List[str]:
     ]
 
 
+def _rows_proposal(
+    context: PlanContext, chosen: List[str], reason: str
+) -> PlanProposal:
+    """Complete the chosen labels' degradation rows, in pick order."""
+    return PlanProposal(
+        keys=tuple(
+            key for label in chosen for key in context.degradation_keys(label)
+        ),
+        labels=tuple(chosen),
+        reason=reason if chosen else "no unmeasured labels remain",
+    )
+
+
 class UncertaintyPlanner(Planner):
     """Send the next experiments where the trend fit's CI is widest.
 
@@ -70,27 +89,15 @@ class UncertaintyPlanner(Planner):
     infinite, so sparsely-covered curves are completed first; among equally
     unknown labels the tie breaks by label name, keeping plans
     deterministic.
-
-    Args:
-        labels_per_round: degradation rows (configs × all apps) per round.
     """
 
     name = "uncertainty"
-
-    def __init__(self, labels_per_round: int = 2) -> None:
-        if labels_per_round < 1:
-            raise ConfigurationError(
-                f"labels_per_round must be >= 1, got {labels_per_round}"
-            )
-        self.labels_per_round = labels_per_round
 
     def propose(
         self, context: PlanContext, budget_remaining: Optional[float]
     ) -> PlanProposal:
         scores: Dict[str, float] = {}
-        for label in context.unmeasured_labels():
-            if not context.degradation_keys(label):
-                continue  # nothing runnable left for this label
+        for label in context.runnable_labels():
             utilization = context.utilization[label]
             score = 0.0
             for name in context.app_names:
@@ -98,21 +105,13 @@ class UncertaintyPlanner(Planner):
                 stderr = fit.predict_stderr(utilization) if fit else math.inf
                 score = max(score, stderr)
             scores[label] = score
-        chosen = _score_order(scores)[: self.labels_per_round]
-        keys: List[str] = []
-        for label in chosen:
-            keys.extend(context.degradation_keys(label))
-        return PlanProposal(
-            keys=tuple(keys),
-            labels=tuple(chosen),
-            reason=(
-                "widest fitted-mean CI at "
-                + ", ".join(
-                    f"{label} (U={context.utilization[label]:.3f})"
-                    for label in chosen
-                )
-                if chosen
-                else "no unmeasured labels remain"
+        chosen = _score_order(scores)[:LABELS_PER_ROUND]
+        return _rows_proposal(
+            context,
+            chosen,
+            "widest fitted-mean CI at "
+            + ", ".join(
+                f"{label} (U={context.utilization[label]:.3f})" for label in chosen
             ),
         )
 
@@ -131,13 +130,6 @@ class GreedyCostPlanner(Planner):
 
     name = "greedy"
 
-    def __init__(self, labels_per_round: int = 2) -> None:
-        if labels_per_round < 1:
-            raise ConfigurationError(
-                f"labels_per_round must be >= 1, got {labels_per_round}"
-            )
-        self.labels_per_round = labels_per_round
-
     def propose(
         self, context: PlanContext, budget_remaining: Optional[float]
     ) -> PlanProposal:
@@ -148,11 +140,10 @@ class GreedyCostPlanner(Planner):
         ]
         candidates = {
             label: context.utilization[label]
-            for label in context.unmeasured_labels()
-            if context.degradation_keys(label)
+            for label in context.runnable_labels()
         }
         chosen: List[str] = []
-        while candidates and len(chosen) < self.labels_per_round:
+        while candidates and len(chosen) < LABELS_PER_ROUND:
             best_label: Optional[str] = None
             best_score = -math.inf
             for label in sorted(candidates):
@@ -172,18 +163,10 @@ class GreedyCostPlanner(Planner):
             assert best_label is not None
             chosen.append(best_label)
             covered.append(candidates.pop(best_label))
-        keys: List[str] = []
-        for label in chosen:
-            keys.extend(context.degradation_keys(label))
-        return PlanProposal(
-            keys=tuple(keys),
-            labels=tuple(chosen),
-            reason=(
-                "largest utilization gap per estimated cost: "
-                + ", ".join(chosen)
-                if chosen
-                else "no unmeasured labels remain"
-            ),
+        return _rows_proposal(
+            context,
+            chosen,
+            "largest utilization gap per estimated cost: " + ", ".join(chosen),
         )
 
 
@@ -198,7 +181,7 @@ def available_planners() -> Tuple[str, ...]:
     return tuple(sorted(_PLANNERS))
 
 
-def get_planner(name: str, **kwargs) -> Planner:
+def get_planner(name: str) -> Planner:
     """Instantiate a strategy by CLI name."""
     try:
         cls = _PLANNERS[name]
@@ -207,4 +190,4 @@ def get_planner(name: str, **kwargs) -> Planner:
             f"unknown planner {name!r}; available: "
             + ", ".join(available_planners())
         ) from None
-    return cls(**kwargs)
+    return cls()

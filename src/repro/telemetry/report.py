@@ -1,11 +1,12 @@
 """The campaign telemetry report: build, persist, load, render.
 
-``ensure_all`` writes one ``telemetry.json`` next to ``failure_report.json``
-after every telemetry-enabled campaign: the merged metrics snapshot (driver
-plus all workers), the span records and their per-name summary, wall/CPU
-per dependency phase, and any workload-level state profiles that were
-collected.  The ``repro telemetry`` CLI subcommand renders the document as
-a human table or converts its spans into a Chrome trace.
+Every telemetry-enabled ``ensure_products`` call (``ensure_all`` and each
+planned round) writes one ``telemetry.json`` next to
+``failure_report.json``: the campaign summary (engine, profile, workers,
+elapsed, failures), the merged metrics snapshot (driver plus all
+workers), the span records and their per-name summary, and wall/CPU per
+dependency phase.  The ``repro telemetry`` CLI subcommand renders the
+document as a human table or converts its spans into a Chrome trace.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ def build_report(
     span_records: List[dict],
     phases: Optional[Mapping[str, Mapping[str, float]]] = None,
     campaign: Optional[Mapping[str, object]] = None,
-    workloads: Optional[Mapping[str, Mapping[str, float]]] = None,
 ) -> dict:
     """Assemble the ``telemetry.json`` document (pure, JSON-ready)."""
     return {
@@ -54,9 +54,6 @@ def build_report(
             "count": len(span_records),
             "by_name": span_summary(span_records),
             "records": span_records,
-        },
-        "workloads": {
-            name: dict(values) for name, values in (workloads or {}).items()
         },
     }
 
@@ -140,12 +137,4 @@ def render_report(document: Mapping[str, object]) -> str:
                 f"  {name:48s} n={entry['count']:<6d} "
                 f"total {entry['total_s']:9.3f}s  max {entry['max_s']:8.3f}s"
             )
-    workloads: Dict[str, Mapping[str, float]] = dict(document.get("workloads", {}))  # type: ignore[arg-type]
-    if workloads:
-        lines.append("workload state profiles:")
-        for name, values in sorted(workloads.items()):
-            parts = "  ".join(
-                f"{state}={fraction * 100:5.1f}%" for state, fraction in values.items()
-            )
-            lines.append(f"  {name:16s} {parts}")
     return "\n".join(lines) if lines else "(empty telemetry report)"

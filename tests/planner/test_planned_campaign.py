@@ -6,8 +6,10 @@ deterministic, refusals are refunded — and two identical planned campaigns
 must produce bit-identical plans and cache shards.
 """
 
+import hashlib
 import json
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -180,3 +182,66 @@ def test_greedy_strategy_also_runs_to_completion(pipeline):
     assert result.planner == "greedy"
     assert result.executed > 0
     assert result.final_error is not None
+
+
+@pytest.mark.parametrize(
+    "planner, budget, digest",
+    [
+        (
+            "greedy",
+            None,
+            "7b946b74383a00ea527124f726b6a4063945373fdf67374fb072cebd1a26e9d0",
+        ),
+        (
+            "greedy",
+            0.15,
+            "2934ce4e37c80186ff90c0fa7987571f889ff587887577153213d966ac85626d",
+        ),
+        (
+            "uncertainty",
+            None,
+            "9350df06f0baae041ac2ac8e1a986e399f707cd3c6c7ddde4d392b76c1da89b3",
+        ),
+        (
+            "uncertainty",
+            0.15,
+            "459cbd24cc86891aa92b338cafd870bcc45201cf4bc38a0a6e9738338237ebc1",
+        ),
+    ],
+)
+def test_plan_traces_are_pinned(pipeline, planner, budget, digest):
+    # SHA-256 of each trace's sorted-key JSON.  Budget 0.15 runs out in the
+    # second adaptive round (five keys skipped), so the budgeted traces pin
+    # admission too.
+    result = _campaign(pipeline, budget=budget, planner=planner).run()
+    trace = json.dumps(result.trace_document(), sort_keys=True).encode()
+    assert hashlib.sha256(trace).hexdigest() == digest
+
+
+def test_the_measured_state_is_read_once_per_round(pipeline, monkeypatch):
+    # One snapshot after each ensure_products call: two in the bootstrap,
+    # one per adaptive round.  Each reads every signature once, and no
+    # measurement is read more often than that (the calibration and the
+    # baselines are also read as the inputs of the products executed).
+    reads = Counter()
+    product = pipeline.product
+
+    def counted(raw):
+        reads[raw] += 1
+        return product(raw)
+
+    monkeypatch.setattr(pipeline, "product", counted)
+    result = _campaign(pipeline).run()
+    snapshots = len(result.rounds) + 1
+    assert snapshots >= 3
+    assert {f"comp_sig/{config.label}" for config in pipeline.catalog} <= set(reads)
+    assert all(
+        count == snapshots
+        for raw, count in reads.items()
+        if raw.startswith("comp_sig/")
+    )
+    assert all(
+        count <= snapshots
+        for raw, count in reads.items()
+        if raw.startswith(("impact/", "comp_sig/", "degradation/", "pair/"))
+    )

@@ -12,6 +12,7 @@ from repro.planner import (
     get_planner,
     holdout_schedule,
 )
+from repro.planner.strategies import LABELS_PER_ROUND
 from repro.core.experiments import PipelineSettings
 
 
@@ -61,8 +62,9 @@ def test_holdout_schedule_is_seed_deterministic_and_complete():
 
 
 def test_uncertainty_targets_the_widest_confidence_band():
-    # Fit measured at U ∈ {0.1, 0.2, 0.3}: candidates far from the measured
-    # mass (U=0.9) have the widest band and must win over interior ones.
+    # Fit measured at U ∈ {0.1, 0.2, 0.3}: the band widens away from the
+    # measured mass, so the candidates farthest out win, widest first, and
+    # the interior one (U=0.25) comes last.
     fit = _noisy_fit([0.1, 0.2, 0.3], noise=1.0)
     measured = {"L1": 1.0, "L2": 2.0, "L3": 3.0}
     degradations = {"a": dict(measured), "b": dict(measured)}
@@ -71,12 +73,15 @@ def test_uncertainty_targets_the_widest_confidence_band():
         "L2": 0.2,
         "L3": 0.3,
         "far": 0.9,
+        "out": 0.6,
         "near": 0.25,
     }
     context = _context({"a": fit, "b": fit}, degradations, utilization)
-    proposal = UncertaintyPlanner(labels_per_round=1).propose(context, None)
-    assert proposal.labels == ("far",)
-    assert set(proposal.keys) == {"degradation/a/far", "degradation/b/far"}
+    proposal = UncertaintyPlanner().propose(context, None)
+    assert proposal.labels == ("far", "out", "near")[:LABELS_PER_ROUND]
+    assert proposal.keys == tuple(
+        f"degradation/{app}/{label}" for label in proposal.labels for app in "ab"
+    )
 
 
 def test_uncertainty_prefers_unfit_apps_first():
@@ -89,8 +94,9 @@ def test_uncertainty_prefers_unfit_apps_first():
     }
     utilization = {"L1": 0.1, "L2": 0.5, "L3": 0.9}
     context = _context({"a": fit}, degradations, utilization)
-    proposal = UncertaintyPlanner(labels_per_round=2).propose(context, None)
-    assert proposal.labels == ("L1", "L2")  # inf scores, label tie-break
+    proposal = UncertaintyPlanner().propose(context, None)
+    # inf scores, label tie-break
+    assert proposal.labels == ("L1", "L2", "L3")[:LABELS_PER_ROUND]
 
 
 def test_refused_keys_are_never_proposed():
@@ -111,25 +117,27 @@ def test_empty_proposal_when_everything_measured():
 
 
 def test_greedy_fills_the_largest_utilization_gap():
-    # Measured coverage at U ∈ {0.1, 0.2}; candidates at 0.25 and 0.8 with
-    # equal cost → the 0.8 candidate fills a far larger gap.
+    # Measured coverage at U ∈ {0.1, 0.2}; candidates at 0.22, 0.25 and 0.8
+    # with equal cost → the 0.8 candidate fills by far the largest gap,
+    # then 0.25 (0.05 from the nearest coverage) beats 0.22 (0.02).
     measured = {"L1": 1.0, "L2": 2.0}
     degradations = {"a": dict(measured), "b": dict(measured)}
-    utilization = {"L1": 0.1, "L2": 0.2, "mid": 0.25, "far": 0.8}
+    utilization = {"L1": 0.1, "L2": 0.2, "near": 0.22, "mid": 0.25, "far": 0.8}
     context = _context({}, degradations, utilization)
-    proposal = GreedyCostPlanner(labels_per_round=1).propose(context, None)
-    assert proposal.labels == ("far",)
+    proposal = GreedyCostPlanner().propose(context, None)
+    assert proposal.labels == ("far", "mid", "near")[:LABELS_PER_ROUND]
 
 
 def test_greedy_recomputes_coverage_after_each_pick():
+    # Measured at U=0.5.  Before any pick "hi2" (gap 0.43) outranks "lo"
+    # (0.4); once "hi" (0.45) is picked it covers hi2's neighbourhood (gap
+    # 0.02), so the second pick is the other extreme.
     measured = {"L1": 1.0}
     degradations = {"a": dict(measured), "b": dict(measured)}
-    utilization = {"L1": 0.5, "lo": 0.1, "hi": 0.9, "lo2": 0.12}
+    utilization = {"L1": 0.5, "hi": 0.95, "hi2": 0.93, "lo": 0.1}
     context = _context({}, degradations, utilization)
-    proposal = GreedyCostPlanner(labels_per_round=2).propose(context, None)
-    # After picking one extreme, the *other* extreme is the biggest gap —
-    # not the near-duplicate of the first pick.
-    assert set(proposal.labels) == {"lo", "hi"}
+    proposal = GreedyCostPlanner().propose(context, None)
+    assert proposal.labels == ("hi", "lo", "hi2")[:LABELS_PER_ROUND]
 
 
 def test_proposals_are_deterministic():

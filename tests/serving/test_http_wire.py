@@ -40,12 +40,10 @@ def server():
 
 
 def _request(method, target, body=None, headers=()):
-    # Content-Length goes first: the stdlib's header parser may drop the
-    # headers after an odd line, and the body's framing must survive that.
     lines = [f"{method} {target} HTTP/1.1", "Host: 127.0.0.1"]
+    lines += [f"{name}: {value}" for name, value in headers]
     if body is not None:
         lines.append(f"Content-Length: {len(body)}")
-    lines += [f"{name}: {value}" for name, value in headers]
     head = "\r\n".join(lines) + "\r\n\r\n"
     return head.encode("latin-1") + (body or b"")
 

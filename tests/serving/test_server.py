@@ -40,9 +40,20 @@ def server():
     instance.server_close()
 
 
+def _urlopen(request):
+    """``urlopen``, but an error reply's body is read (into ``body``) and
+    its connection closed before the ``HTTPError`` propagates."""
+    try:
+        return urllib.request.urlopen(request)
+    except urllib.error.HTTPError as exc:
+        with exc:
+            exc.body = exc.read()
+        raise
+
+
 def _get(server, path):
     url = f"http://127.0.0.1:{server.server_port}{path}"
-    with urllib.request.urlopen(url) as response:
+    with _urlopen(url) as response:
         return response.status, json.loads(response.read())
 
 
@@ -54,12 +65,12 @@ def _post(server, path, document):
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    with urllib.request.urlopen(request) as response:
+    with _urlopen(request) as response:
         return response.status, json.loads(response.read())
 
 
 def _error_of(exc):
-    return json.loads(exc.read())["error"]
+    return json.loads(exc.body)["error"]
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +202,7 @@ def test_malformed_content_length_is_400_not_crash(server):
     # urllib would set a correct Content-Length; sabotage it post-hoc.
     request.add_unredirected_header("Content-Length", "not-a-number")
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(request)
+        _urlopen(request)
     assert excinfo.value.code == 400
     assert "Content-Length" in _error_of(excinfo.value)
     # The handler thread survived; the server still answers.
@@ -203,7 +214,7 @@ def test_batch_with_non_json_body_is_400(server):
     url = f"http://127.0.0.1:{server.server_port}/predict/batch"
     request = urllib.request.Request(url, data=b"not json", method="POST")
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(request)
+        _urlopen(request)
     assert excinfo.value.code == 400
 
 
@@ -353,7 +364,7 @@ def test_concurrent_bad_requests_fail_alone(server):
 def _get_raw(server, path, headers=None):
     url = f"http://127.0.0.1:{server.server_port}{path}"
     request = urllib.request.Request(url, headers=headers or {})
-    with urllib.request.urlopen(request) as response:
+    with _urlopen(request) as response:
         return response.status, dict(response.headers), response.read()
 
 
