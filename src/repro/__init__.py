@@ -21,7 +21,6 @@ models), :mod:`repro.analysis` (reports).
 from .config import MachineConfig, NetworkConfig, NodeConfig, Scale
 from .core.experiments import (
     CompressionExperiment,
-    CoRunExperiment,
     ImpactExperiment,
     PipelineSettings,
     ReproductionPipeline,
@@ -82,7 +81,6 @@ __all__ = [
     "ContentionAnalyzer",
     "ImpactExperiment",
     "CompressionExperiment",
-    "CoRunExperiment",
     "PipelineSettings",
     "ReproductionPipeline",
     "paper_applications",

@@ -1,6 +1,6 @@
-"""Engine-registry introspection: the ``repro engines`` listing.
+"""Engine introspection: the ``repro engines`` listing.
 
-Renders every registered engine's declared
+Renders every engine's declared
 :class:`~repro.engine.base.EngineCapabilities` as a capability table, so a
 user deciding between ``--engine`` values (or staring at an
 :class:`~repro.errors.UnsupportedScenario` message) can see at a glance
@@ -21,7 +21,7 @@ __all__ = ["engine_catalog", "render_engine_catalog"]
 
 
 def engine_catalog() -> List[Dict[str, object]]:
-    """One JSON-ready capability row per registered engine, sorted by name."""
+    """One JSON-ready capability row per engine, sorted by name."""
     rows: List[Dict[str, object]] = []
     for name in available_engines():
         caps = get_engine(name).capabilities()
@@ -32,21 +32,14 @@ def engine_catalog() -> List[Dict[str, object]]:
                 "topologies": list(caps.topologies),
                 "fault_kinds": list(caps.fault_kinds),
                 "max_leaves": caps.max_leaves,
-                "min_nodes": caps.min_nodes,
-                "max_nodes": caps.max_nodes,
             }
         )
     return rows
 
 
-def _bound(low: int, high) -> str:
-    upper = "∞" if high is None else str(high)
-    return f"{low}–{upper}"
-
-
 def render_engine_catalog(catalog: List[Dict[str, object]]) -> str:
     """ASCII capability table in the repo's renderer style."""
-    header = ("engine", "topologies", "fault kinds", "nodes", "summary")
+    header = ("engine", "topologies", "fault kinds", "summary")
     rows = [header]
     for row in catalog:
         topologies = ", ".join(row["topologies"])
@@ -64,7 +57,6 @@ def render_engine_catalog(catalog: List[Dict[str, object]]) -> str:
                 str(row["name"]),
                 topologies,
                 fault_text,
-                _bound(row["min_nodes"], row["max_nodes"]),
                 str(row["summary"]),
             )
         )

@@ -69,11 +69,6 @@ class PerSocketPlacement(Placement):
                 chosen.extend(free[: self.ranks_per_socket])
         return chosen
 
-    @property
-    def ranks_per_node_factor(self) -> int:
-        """Ranks placed on each node (sockets resolved at select time)."""
-        return self.ranks_per_socket
-
 
 class BlockPlacement(Placement):
     """Fill nodes one at a time with ``total_ranks`` ranks."""

@@ -266,11 +266,6 @@ class NetworkConfig:
                 f"retransmit_timeout must be >= 0, got {self.retransmit_timeout}"
             )
 
-    @property
-    def has_link_faults(self) -> bool:
-        """Whether any rule can actually perturb a link."""
-        return any(not rule.is_noop for rule in self.link_faults)
-
     def active_fault_kinds(self) -> Tuple[str, ...]:
         """Sorted fault kinds at least one non-noop rule exercises.
 

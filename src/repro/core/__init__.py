@@ -23,7 +23,6 @@ __all__ = [
     "calibrate",
     "ImpactExperiment",
     "CompressionExperiment",
-    "CoRunExperiment",
     "PipelineSettings",
     "ReproductionPipeline",
     "AverageLT",
@@ -38,7 +37,6 @@ _EXPERIMENT_NAMES = {
     "calibrate",
     "ImpactExperiment",
     "CompressionExperiment",
-    "CoRunExperiment",
     "PipelineSettings",
     "ReproductionPipeline",
 }

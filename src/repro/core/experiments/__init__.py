@@ -11,8 +11,13 @@ from .catalog import (
     paper_compression_catalog,
     quick_compression_catalog,
 )
-from .compression import CompressionExperiment, CompressionObservation, percent_slowdown
-from .corun import CoRunExperiment
+from .compression import (
+    CompressionExperiment,
+    CompressionObservation,
+    corun_slowdown,
+    isolated_runtime,
+    percent_slowdown,
+)
 from .future import (
     ScalingPoint,
     equivalent_utilization,
@@ -39,7 +44,8 @@ __all__ = [
     "CompressionExperiment",
     "CompressionObservation",
     "percent_slowdown",
-    "CoRunExperiment",
+    "isolated_runtime",
+    "corun_slowdown",
     "ScalingPoint",
     "network_scaling_study",
     "equivalent_utilization",

@@ -1,14 +1,21 @@
-"""Compression experiments (paper §III-B, §IV-C, §IV-D).
+"""Compression and co-run experiments (paper §III-B, §IV-C, §IV-D, §V).
 
-Two measurement kinds:
+Three measurement kinds:
 
 * :meth:`CompressionExperiment.signature_of` — run a CompressionB config
   together with ImpactB (no application) to characterize how much switch
   capability the config removes (Fig. 6's x-axis values).
 
-* :meth:`CompressionExperiment.degradation` — run an application against a
-  CompressionB config and report the percent slowdown relative to the app's
-  isolated baseline (Fig. 7's y-axis values).
+* :func:`isolated_runtime` — an application's runtime alone on the
+  machine, the baseline every slowdown is relative to.
+
+* :func:`corun_slowdown` — run an application to completion while an
+  interferer loops beside it (the paper runs "each benchmark in continuous
+  loops") and report its percent slowdown relative to its isolated
+  baseline.  With a CompressionB config as the interferer this is a Fig. 7
+  degradation; with another application (or a second copy of the same
+  one) it is one of Table I's 36 pairwise co-runs, the ground truth the
+  models must predict.
 """
 
 from __future__ import annotations
@@ -24,7 +31,13 @@ from ...workloads import CompressionB, CompressionConfig, Workload
 from .impact import ImpactExperiment, ImpactResult
 from .runner import JobSpec, execute
 
-__all__ = ["CompressionObservation", "CompressionExperiment", "percent_slowdown"]
+__all__ = [
+    "CompressionObservation",
+    "CompressionExperiment",
+    "corun_slowdown",
+    "isolated_runtime",
+    "percent_slowdown",
+]
 
 
 def percent_slowdown(with_interference: float, baseline: float) -> float:
@@ -32,6 +45,38 @@ def percent_slowdown(with_interference: float, baseline: float) -> float:
     if baseline <= 0:
         raise ExperimentError(f"baseline runtime must be positive, got {baseline}")
     return 100.0 * (with_interference - baseline) / baseline
+
+
+def isolated_runtime(config: MachineConfig, app: Workload) -> float:
+    """The application's runtime alone on a fresh ``config`` machine."""
+    return execute(config, [JobSpec(app, app.name)]).elapsed_of(app.name)
+
+
+def corun_slowdown(
+    config: MachineConfig,
+    app: Workload,
+    interferer: Workload,
+    baseline: Optional[float] = None,
+) -> float:
+    """Percent slowdown of ``app`` while ``interferer`` loops beside it.
+
+    The interferer loops as a daemon so the switch stays loaded for the
+    whole of ``app``'s run.  The two never share cores (the machine's
+    occupancy tracking enforces this); its job label is its own name, with
+    ``#2`` appended when it is a second copy of ``app`` (two placements of
+    one app, the paper's capability-computing use case).  ``baseline``
+    defaults to a fresh :func:`isolated_runtime`.
+    """
+    if baseline is None:
+        baseline = isolated_runtime(config, app)
+    label = interferer.name
+    if label == app.name:
+        label += "#2"
+    result = execute(
+        config,
+        [JobSpec(interferer, label, daemon=True), JobSpec(app, app.name)],
+    )
+    return percent_slowdown(result.elapsed_of(app.name), baseline)
 
 
 @dataclass(frozen=True)
@@ -103,8 +148,7 @@ class CompressionExperiment:
     # ------------------------------------------------------------------
     def baseline(self, app: Workload) -> float:
         """The application's isolated runtime on this machine."""
-        result = execute(self.config, [JobSpec(app, app.name)])
-        return result.elapsed_of(app.name)
+        return isolated_runtime(self.config, app)
 
     def degradation(
         self,
@@ -113,13 +157,4 @@ class CompressionExperiment:
         baseline: Optional[float] = None,
     ) -> float:
         """Percent slowdown of ``app`` when co-run with a CompressionB config."""
-        if baseline is None:
-            baseline = self.baseline(app)
-        result = execute(
-            self.config,
-            [
-                JobSpec(CompressionB(comp_config), "compressionb", daemon=True),
-                JobSpec(app, app.name),
-            ],
-        )
-        return percent_slowdown(result.elapsed_of(app.name), baseline)
+        return corun_slowdown(self.config, app, CompressionB(comp_config), baseline)

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from ...config import MachineConfig, NetworkConfig
 from ...errors import ExperimentError
 from ...workloads import Workload
-from .runner import JobSpec, execute
+from .compression import isolated_runtime
 
 __all__ = [
     "ScalingPoint",
@@ -104,8 +104,7 @@ def network_scaling_study(
     baseline: Optional[float] = None
     for factor in factors:
         machine_config = replace(config, network=scaled_network(config.network, factor))
-        result = execute(machine_config, [JobSpec(workload, workload.name)])
-        elapsed = result.elapsed_of(workload.name)
+        elapsed = isolated_runtime(machine_config, workload)
         if baseline is None:
             baseline = elapsed
         points.append(

@@ -59,7 +59,7 @@ from ...telemetry.live import LIVE_REPORT_NAME, LiveReporter
 from ...telemetry.report import TELEMETRY_REPORT_NAME, build_report, write_report
 from ...units import MS
 from ...workloads import CompressionConfig, Workload
-from ..models import PredictionEngine, default_models
+from ..models import PredictionEngine
 from .cache import FAILURE_REPORT_NAME, ShardedCache
 from .catalog import APP_NAMES, paper_applications, paper_compression_catalog, quick_compression_catalog
 from .compression import CompressionObservation
@@ -131,7 +131,6 @@ class ExperimentDescriptor:
         comp_config: CompressionB configuration (``comp_sig``/``degradation``).
         calibration: serialized idle-switch :class:`ServiceEstimate`.
         baseline: isolated runtime of the measured app (stage-two kinds).
-        label: registry name of the measured app (``pair`` bookkeeping).
     """
 
     key: str
@@ -143,7 +142,6 @@ class ExperimentDescriptor:
     comp_config: Optional[CompressionConfig] = None
     calibration: Optional[dict] = None
     baseline: Optional[float] = None
-    label: Optional[str] = None
 
 
 #: The six product kinds, in campaign order.  Each maps to the descriptor
@@ -196,8 +194,8 @@ def run_experiment(descriptor: ExperimentDescriptor) -> object:
     results are identical whether this runs in the driver process or a
     pool worker.
 
-    Capability dispatch happens here, at the registry level: the scenario
-    is checked against the engine's declared
+    The capability check happens here: the scenario is checked against
+    the engine's declared
     :meth:`~repro.engine.base.ExperimentEngine.capabilities` before the
     engine sees the descriptor, so an unsupported scenario raises
     :class:`~repro.errors.UnsupportedScenario` (naming the engines that do
@@ -565,8 +563,6 @@ class ReproductionPipeline:
                 fields[field_name] = self._config(name)
             elif raw != "impact/idle":  # the idle impact probes an empty switch
                 fields[field_name] = self._app(name)
-        if kind == "pair":
-            fields["label"] = names[0]
         needed = input_of(raw)
         if needed == "calibration":
             fields["calibration"] = self.product(needed)

@@ -40,12 +40,14 @@ import numpy as np
 
 from .. import telemetry
 from ..config import MachineConfig
-from ..core.measurement import LatencyCollector, LatencyHistogram
+from ..core.experiments.compression import CompressionObservation, percent_slowdown
+from ..core.experiments.impact import ImpactResult
+from ..core.measurement import LatencyCollector, LatencyHistogram, ProbeSignature
 from ..errors import AnalyticModelError, ExperimentError
 from ..queueing import ServiceEstimate, pk_waiting_time, sojourn_from_utilization
 from ..workloads import CompressionB, ImpactB, Workload
 from ..workloads.traffic import TrafficSummary
-from .base import EngineCapabilities, ExperimentEngine, register_engine
+from .base import EngineCapabilities, ExperimentEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.experiments.pipeline import ExperimentDescriptor, PipelineSettings
@@ -148,9 +150,9 @@ class ClosedFormEngine(ExperimentEngine):
     The analytic and fluid engines subclass it.  Each supplies its machine
     view (``_state``), a workload's load on it (``_load``, and ``_summary``
     for the traffic behind a load), the lone-workload ``_solve``, the joint
-    solve's ``_best_response()``, ``_zero`` and ``_norm``, ``_calibration``,
-    ``_interfered_round_time``, and the utilizations the probe samples and
-    switch 0 reports.
+    solve's ``_best_response()``, ``_zero`` and ``_norm``, its
+    ``calibration`` product, ``_interfered_round_time``, and the
+    utilizations the probe samples and switch 0 reports.
 
     Attributes:
         max_utilization: validity ceiling — converged utilization at or
@@ -169,9 +171,6 @@ class ClosedFormEngine(ExperimentEngine):
     _solve_count = 0
     _iteration_count = 0
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
     def run(self, descriptor: "ExperimentDescriptor") -> object:
         # Per-inner-solve counts accumulate on plain ints and flush to the
         # registry once per product: the inner solve runs tens of times per
@@ -179,42 +178,14 @@ class ClosedFormEngine(ExperimentEngine):
         # overhead (the ≤5% budget in benchmarks/test_perf_telemetry.py).
         self._solve_count = 0
         self._iteration_count = 0
-        with telemetry.span(f"solve:{descriptor.kind}", "engine", engine=self.name):
-            result = self._dispatch(descriptor)
-        if telemetry.enabled():
+        result = super().run(descriptor)
+        if self._solve_count and telemetry.enabled():
             registry = telemetry.registry()
+            registry.counter_inc(f"engine.{self.name}.solves", float(self._solve_count))
             registry.counter_inc(
-                "engine.products", kind=descriptor.kind, engine=self.name
+                f"engine.{self.name}.solve_iterations", float(self._iteration_count)
             )
-            if self._solve_count:
-                registry.counter_inc(
-                    f"engine.{self.name}.solves", float(self._solve_count)
-                )
-                registry.counter_inc(
-                    f"engine.{self.name}.solve_iterations",
-                    float(self._iteration_count),
-                )
         return result
-
-    def _dispatch(self, descriptor: "ExperimentDescriptor") -> object:
-        settings = descriptor.settings
-        state = self._state(descriptor.machine_config)
-        if descriptor.kind == "calibration":
-            return self._calibration(state, settings)
-        if descriptor.kind == "impact":
-            return self._impact(state, settings, descriptor)
-        if descriptor.kind == "comp_sig":
-            return self._comp_sig(state, settings, descriptor)
-        if descriptor.kind == "baseline":
-            return self._baseline(state, descriptor.workload)
-        if descriptor.kind == "degradation":
-            comp = CompressionB(descriptor.comp_config)
-            return self._slowdown(state, descriptor.workload, comp, descriptor.baseline)
-        if descriptor.kind == "pair":
-            return self._slowdown(
-                state, descriptor.workload, descriptor.other, descriptor.baseline
-            )
-        raise ExperimentError(f"unknown descriptor kind {descriptor.kind!r}")
 
     # ------------------------------------------------------------------
     # Fixed point
@@ -311,7 +282,7 @@ class ClosedFormEngine(ExperimentEngine):
         calibration: Optional[dict],
         rho: float,
         duration: float,
-    ) -> dict:
+    ) -> ProbeSignature:
         if calibration is None:
             raise AnalyticModelError(
                 f"{self.name} signatures need a calibration estimate in the descriptor"
@@ -322,25 +293,24 @@ class ClosedFormEngine(ExperimentEngine):
         # same 1/(1-rho) factor that stretches the queueing delay.
         std = math.sqrt(max(estimate.variance, 1e-18)) / (1.0 - rho)
         count = self._probe_count(settings, state.config, duration)
-        histogram = _lognormal_histogram(mean, std, count)
-        return {
-            "mean": mean,
-            "std": std,
-            "count": count,
-            "utilization": rho,
-            "histogram": histogram.to_dict(),
-        }
+        return ProbeSignature(
+            mean=mean,
+            std=std,
+            count=count,
+            histogram=_lognormal_histogram(mean, std, count),
+            utilization=rho,
+        )
 
     def _probe_impact(
         self,
-        state: Any,
-        settings: "PipelineSettings",
-        calibration: Optional[dict],
+        descriptor: "ExperimentDescriptor",
         duration: float,
         workload: Optional[Workload],
         label: str,
-    ) -> dict:
-        """The probe's impact product, alone or beside ``workload``."""
+    ) -> ImpactResult:
+        """The probe's impact result, alone or beside ``workload``."""
+        settings = descriptor.settings
+        state = self._state(descriptor.machine_config)
         probe = self._probe_load(state, settings)
         if workload is None:
             _period, rho = self._solve(
@@ -353,89 +323,73 @@ class ClosedFormEngine(ExperimentEngine):
             )
             rho = rho_probe + rho_other
         signature = self._signature(
-            state, settings, calibration, self._probe_utilization(state, rho), duration
+            state,
+            settings,
+            descriptor.calibration,
+            self._probe_utilization(state, rho),
+            duration,
         )
-        return {
-            "signature": signature,
-            # Sim parity: the simulator reports switch 0 (the single switch,
-            # or leaf0 on fabrics).
-            "true_utilization": self._switch_utilization(rho),
-            "sim_time": duration,
-        }
+        # Sim parity: the simulator reports switch 0 (the single switch, or
+        # leaf0 on fabrics).
+        return ImpactResult(
+            signature=signature,
+            true_utilization=self._switch_utilization(rho),
+            sim_time=duration,
+        )
 
-    def _impact(
-        self,
-        state: Any,
-        settings: "PipelineSettings",
-        descriptor: "ExperimentDescriptor",
-    ) -> dict:
+    def impact(self, descriptor: "ExperimentDescriptor") -> dict:
         workload = descriptor.workload
         return self._probe_impact(
-            state,
-            settings,
-            descriptor.calibration,
-            settings.impact_duration,
+            descriptor,
+            descriptor.settings.impact_duration,
             workload,
             "" if workload is None else workload.name,
-        )
+        ).to_dict()
 
-    def _comp_sig(
-        self,
-        state: Any,
-        settings: "PipelineSettings",
-        descriptor: "ExperimentDescriptor",
-    ) -> dict:
+    def comp_sig(self, descriptor: "ExperimentDescriptor") -> dict:
         comp_config = descriptor.comp_config
         impact = self._probe_impact(
-            state,
-            settings,
-            descriptor.calibration,
-            settings.signature_duration,
+            descriptor,
+            descriptor.settings.signature_duration,
             CompressionB(comp_config),
             comp_config.label,
         )
-        return {
-            "partners": comp_config.partners,
-            "messages": comp_config.messages,
-            "sleep_cycles": comp_config.sleep_cycles,
-            "message_bytes": comp_config.message_bytes,
-            "impact": impact,
-        }
+        return CompressionObservation(config=comp_config, impact=impact).to_dict()
 
-    def _baseline(self, state: Any, workload: Optional[Workload]) -> float:
+    def baseline(self, descriptor: "ExperimentDescriptor") -> float:
+        workload = descriptor.workload
         if workload is None:
             raise ExperimentError("baseline descriptors need a workload")
+        state = self._state(descriptor.machine_config)
         load = self._load(state, workload)
         period, _rho = self._solve(
             state, load, self._mean_packet([load]), workload.name
         )
         return self._summary(load).rounds * period
 
-    def _slowdown(
-        self,
-        state: Any,
-        measured: Optional[Workload],
-        other: Optional[Workload],
-        baseline: Optional[float],
+    def slowdown(
+        self, descriptor: "ExperimentDescriptor", interferer: Optional[Workload]
     ) -> float:
-        if measured is None or other is None:
+        measured = descriptor.workload
+        baseline = descriptor.baseline
+        if measured is None or interferer is None:
             raise ExperimentError("slowdown descriptors need both workloads")
         if baseline is None or baseline <= 0:
             raise ExperimentError(
                 f"slowdown for {measured.name!r} needs a positive baseline"
             )
+        state = self._state(descriptor.machine_config)
         measured_load = self._load(state, measured)
-        other_load = self._load(state, other)
+        other_load = self._load(state, interferer)
         mean_packet = self._mean_packet([measured_load, other_load])
         rho_measured, rho_other = self._solve_joint(
             state, measured_load, other_load, mean_packet,
-            measured.name, other.name,
+            measured.name, interferer.name,
         )
         period = self._interfered_round_time(
             state, measured_load, rho_measured, rho_other, mean_packet
         )
-        interfered = self._summary(measured_load).rounds * period
-        return 100.0 * (interfered - baseline) / baseline
+        return percent_slowdown(self._summary(measured_load).rounds * period, baseline)
 
 
 class AnalyticEngine(ClosedFormEngine):
@@ -661,7 +615,9 @@ class AnalyticEngine(ClosedFormEngine):
     # ------------------------------------------------------------------
     # Products
     # ------------------------------------------------------------------
-    def _calibration(self, model: SwitchModel, settings: "PipelineSettings") -> dict:
+    def calibration(self, descriptor: "ExperimentDescriptor") -> dict:
+        model = SwitchModel(descriptor.machine_config)
+        settings = descriptor.settings
         probe_bytes = 1024  # ImpactB's single-packet probe message
         mean = model.idle_one_way(probe_bytes)
         count = self._probe_count(
@@ -714,6 +670,3 @@ def _normal_quantiles(count: int) -> np.ndarray:
     )
     quantiles.flags.writeable = False
     return quantiles
-
-
-register_engine("analytic", AnalyticEngine)

@@ -1,20 +1,18 @@
-"""The experiment-engine seam: protocol + registry.
+"""The experiment-engine seam: the one dispatch and a fixed engine table.
 
 An :class:`~repro.core.experiments.pipeline.ExperimentDescriptor` is a pure
 *description* of one campaign experiment; an :class:`ExperimentEngine` is a
-strategy for answering it.  The registry maps engine names (``"sim"``,
-``"analytic"``, ``"fluid"``) to lazily-constructed engine instances, so the
-pipeline never hard-codes how a product gets computed.
+strategy for answering it.  :meth:`ExperimentEngine.run` is the one
+dispatch: each product kind is answered by the engine's method of that
+name, and the two co-run kinds are defined here once, as a slowdown beside
+a looped interferer.  :func:`get_engine` resolves the three engine names
+(``"sim"``, ``"analytic"``, ``"fluid"``) through a fixed table of modules
+and classes, so the pipeline never hard-codes how a product gets computed.
 
-Built-in engines live in sibling modules that are imported only when first
-requested — this module must stay import-light because the experiments
-pipeline imports it at module load time (importing the engines eagerly here
-would close an import cycle through :mod:`repro.core.experiments`).
-
-Third parties (tests, ablation studies) can plug in their own backend:
-
-    >>> from repro.engine import register_engine
-    >>> register_engine("null", lambda: MyNullEngine())   # doctest: +SKIP
+The engine modules are imported only when first requested — this module
+must stay import-light because the experiments pipeline imports it at
+module load time (importing the engines eagerly here would close an import
+cycle through :mod:`repro.core.experiments`).
 """
 
 from __future__ import annotations
@@ -22,9 +20,11 @@ from __future__ import annotations
 import importlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from .. import telemetry
 from ..errors import ExperimentError, UnsupportedScenario
+from ..workloads import CompressionB, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import MachineConfig
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EngineCapabilities",
     "ExperimentEngine",
-    "register_engine",
     "get_engine",
     "available_engines",
     "ensure_scenario_supported",
@@ -52,7 +51,7 @@ ALL_TOPOLOGIES: Tuple[str, ...] = ("single", "leaf-spine")
 class EngineCapabilities:
     """What scenarios an engine can answer honestly.
 
-    The registry checks a descriptor's :class:`~repro.config.MachineConfig`
+    The pipeline checks a descriptor's :class:`~repro.config.MachineConfig`
     against these declarations *before* dispatching (see
     :func:`ensure_scenario_supported`), replacing per-engine ad-hoc refusal
     checks, so an unsupported scenario fails the same way whichever engine
@@ -67,15 +66,12 @@ class EngineCapabilities:
         max_leaves: cap on leaf-switch count for leaf-spine scenarios
             (``None`` = unbounded).  ``max_leaves=1`` admits only the
             degenerate fabric that behaves like a single switch.
-        min_nodes / max_nodes: node-count range (``None`` = unbounded).
         summary: one-line description for ``repro engines`` listings.
     """
 
     topologies: Tuple[str, ...] = ALL_TOPOLOGIES
     fault_kinds: Tuple[str, ...] = ALL_FAULT_KINDS
     max_leaves: Optional[int] = None
-    min_nodes: int = 1
-    max_nodes: Optional[int] = None
     summary: str = ""
 
     def unsupported_reason(self, config: "MachineConfig") -> Optional[str]:
@@ -93,16 +89,6 @@ class EngineCapabilities:
                 f"leaf switch(es) are not modelled "
                 f"(scenario has {topology.leaf_count})"
             )
-        if config.node_count < self.min_nodes:
-            return (
-                f"needs at least {self.min_nodes} nodes "
-                f"(scenario has {config.node_count})"
-            )
-        if self.max_nodes is not None and config.node_count > self.max_nodes:
-            return (
-                f"supports at most {self.max_nodes} nodes "
-                f"(scenario has {config.node_count})"
-            )
         missing = [
             kind
             for kind in config.network.active_fault_kinds()
@@ -116,106 +102,128 @@ class EngineCapabilities:
 class ExperimentEngine(ABC):
     """One strategy for turning experiment descriptors into products.
 
-    Engines must be stateless between :meth:`run` calls (one instance is
-    shared process-wide) and must return the same JSON-ready product shape
-    for a given descriptor ``kind`` regardless of backend, so cached
-    products deserialize identically whichever engine produced them.
+    Each product kind of
+    :data:`~repro.core.experiments.pipeline.PRODUCT_KINDS` is answered by
+    the method of that name, which takes the descriptor and returns the
+    product's JSON-ready value; an engine supplies the first four kinds and
+    :meth:`slowdown`, which answers the last two.  Engines must be
+    stateless between :meth:`run` calls (one instance is shared
+    process-wide) and must return the same product shape for a given kind
+    regardless of backend, so cached products deserialize identically
+    whichever engine produced them.
     """
 
-    #: Registry name; also the cache-key qualifier (see pipeline._key).
+    #: Table name; also the cache-key qualifier (see pipeline._key).
     name: str = "engine"
 
-    @abstractmethod
     def run(self, descriptor: "ExperimentDescriptor") -> object:
-        """Compute one descriptor's JSON-serializable product value."""
+        """Compute one descriptor's JSON-serializable product value.
+
+        Raises:
+            ExperimentError: the descriptor's kind is not a product kind.
+        """
+        # Imported here: the pipeline imports this module at load time.
+        from ..core.experiments.pipeline import PRODUCT_KINDS
+
+        kind = descriptor.kind
+        if kind not in PRODUCT_KINDS:
+            raise ExperimentError(f"unknown descriptor kind {kind!r}")
+        with telemetry.span(f"solve:{kind}", "engine", engine=self.name):
+            result = getattr(self, kind)(descriptor)
+        if telemetry.enabled():
+            telemetry.registry().counter_inc(
+                "engine.products", kind=kind, engine=self.name
+            )
+        return result
+
+    @abstractmethod
+    def calibration(self, descriptor: "ExperimentDescriptor") -> dict:
+        """The idle switch's :class:`~repro.queueing.ServiceEstimate`."""
+
+    @abstractmethod
+    def impact(self, descriptor: "ExperimentDescriptor") -> dict:
+        """The probe's :class:`~repro.core.experiments.impact.ImpactResult`
+        beside the looped workload (an idle switch without one)."""
+
+    @abstractmethod
+    def comp_sig(self, descriptor: "ExperimentDescriptor") -> dict:
+        """The CompressionB config's
+        :class:`~repro.core.experiments.compression.CompressionObservation`."""
+
+    @abstractmethod
+    def baseline(self, descriptor: "ExperimentDescriptor") -> float:
+        """The workload's isolated runtime."""
+
+    @abstractmethod
+    def slowdown(
+        self, descriptor: "ExperimentDescriptor", interferer: Workload
+    ) -> float:
+        """Percent slowdown of the workload while ``interferer`` loops
+        beside it, against the descriptor's baseline."""
+
+    def degradation(self, descriptor: "ExperimentDescriptor") -> float:
+        """The slowdown beside the descriptor's CompressionB config."""
+        return self.slowdown(descriptor, CompressionB(descriptor.comp_config))
+
+    def pair(self, descriptor: "ExperimentDescriptor") -> float:
+        """The slowdown beside the co-running application."""
+        return self.slowdown(descriptor, descriptor.other)
 
     def capabilities(self) -> EngineCapabilities:
         """The scenarios this engine handles; default claims everything.
 
         Engines with modelling limits (closed-form backends, topology
-        restrictions) override this so the registry refuses up front instead
-        of letting them answer with silently-wrong math.
+        restrictions) override this so the pipeline refuses up front
+        instead of letting them answer with silently-wrong math.
         """
         return EngineCapabilities()
 
 
-#: Built-in engines, resolved lazily on first :func:`get_engine` call.
-_BUILTIN_MODULES: Dict[str, str] = {
-    "sim": ".simulation",
-    "analytic": ".analytic",
-    "fluid": ".fluid",
+#: Each engine's module (relative to this package) and class, imported and
+#: built on the first :func:`get_engine` call for its name.
+_ENGINES: Dict[str, Tuple[str, str]] = {
+    "sim": (".simulation", "SimulationEngine"),
+    "analytic": (".analytic", "AnalyticEngine"),
+    "fluid": (".fluid", "FluidEngine"),
 }
 
-_FACTORIES: Dict[str, Callable[[], ExperimentEngine]] = {}
 _INSTANCES: Dict[str, ExperimentEngine] = {}
 
 
-def register_engine(
-    name: str,
-    factory: Callable[[], ExperimentEngine],
-    *,
-    replace: bool = False,
-) -> None:
-    """Register an engine factory under ``name``.
-
-    Args:
-        name: registry key (also used to qualify cache keys; keep it short
-            and filesystem-friendly).
-        factory: zero-argument callable building the engine instance.
-        replace: allow overwriting an existing registration.
-
-    Raises:
-        ExperimentError: on duplicate registration without ``replace``.
-    """
-    if not name or "/" in name:
-        raise ExperimentError(f"invalid engine name {name!r}")
-    if name in _FACTORIES and not replace:
-        raise ExperimentError(f"engine {name!r} is already registered")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
 def get_engine(name: str) -> ExperimentEngine:
-    """Resolve an engine by name, importing built-ins on demand.
+    """Resolve an engine by name, importing its module on first use.
 
     Instances are cached: repeated calls return the same object.
 
     Raises:
-        ExperimentError: for names neither registered nor built-in.
+        ExperimentError: for a name the engine table does not hold.
     """
     instance = _INSTANCES.get(name)
     if instance is not None:
         return instance
-    if name not in _FACTORIES and name in _BUILTIN_MODULES:
-        # The module registers itself at import time.
-        importlib.import_module(_BUILTIN_MODULES[name], __package__)
-    factory = _FACTORIES.get(name)
-    if factory is None:
+    if name not in _ENGINES:
         raise ExperimentError(
             f"unknown experiment engine {name!r}; "
             f"available: {', '.join(available_engines())}"
         )
-    instance = factory()
+    module, cls = _ENGINES[name]
+    instance = getattr(importlib.import_module(module, __package__), cls)()
     _INSTANCES[name] = instance
     return instance
 
 
 def available_engines() -> List[str]:
-    """Names resolvable by :func:`get_engine` (built-ins + registered)."""
-    return sorted(set(_FACTORIES) | set(_BUILTIN_MODULES))
+    """Names resolvable by :func:`get_engine`, sorted."""
+    return sorted(_ENGINES)
 
 
 def supporting_engines(config: "MachineConfig") -> List[str]:
-    """Registered engine names whose capabilities cover ``config``."""
-    names = []
-    for name in available_engines():
-        try:
-            engine = get_engine(name)
-        except ExperimentError:  # pragma: no cover - racing deregistration
-            continue
-        if engine.capabilities().unsupported_reason(config) is None:
-            names.append(name)
-    return names
+    """Engine names whose capabilities cover ``config``."""
+    return [
+        name
+        for name in available_engines()
+        if get_engine(name).capabilities().unsupported_reason(config) is None
+    ]
 
 
 def ensure_scenario_supported(
@@ -240,7 +248,7 @@ def ensure_scenario_supported(
     if alternatives:
         hint = f"supported by: {', '.join(alternatives)}"
     else:
-        hint = "no registered engine supports this scenario"
+        hint = "no engine supports this scenario"
     raise UnsupportedScenario(
         f"engine {engine.name!r} cannot model this scenario: {reason}; {hint}"
     )

@@ -63,10 +63,10 @@ from ..scenario import ResourceDemand, ScenarioSpec
 from ..workloads import Workload
 from ..workloads.traffic import TrafficSummary
 from .analytic import ClosedFormEngine, SwitchModel
-from .base import EngineCapabilities, register_engine
+from .base import EngineCapabilities
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.experiments.pipeline import PipelineSettings
+    from ..core.experiments.pipeline import ExperimentDescriptor
 
 __all__ = ["FluidEngine"]
 
@@ -394,9 +394,7 @@ class FluidEngine(ClosedFormEngine):
     # ------------------------------------------------------------------
     # Products
     # ------------------------------------------------------------------
-    def _calibration(
-        self, state: _FluidState, settings: "PipelineSettings"
-    ) -> dict:
+    def calibration(self, descriptor: "ExperimentDescriptor") -> dict:
         """Idle probe-path estimate, averaged over the probe's pair paths.
 
         Single-hop pairs see the analytic engine's idle one-way figure;
@@ -405,6 +403,8 @@ class FluidEngine(ClosedFormEngine):
         On a single switch (or the degenerate one-leaf fabric) every pair
         is single-hop and this is bit-identical to the analytic product.
         """
+        state = _FluidState(descriptor.machine_config)
+        settings = descriptor.settings
         model = state.model
         probe_bytes = 1024  # ImpactB's single-packet probe message
         base = model.idle_one_way(probe_bytes)
@@ -464,6 +464,3 @@ class FluidEngine(ClosedFormEngine):
     @staticmethod
     def _switch_utilization(rho_total: np.ndarray) -> float:
         return float(rho_total[0])
-
-
-register_engine("fluid", FluidEngine)

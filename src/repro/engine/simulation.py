@@ -1,19 +1,26 @@
 """The simulation engine: experiments answered by discrete-event simulation.
 
-This is the original execution path of the pipeline, moved verbatim behind
-the :class:`~repro.engine.base.ExperimentEngine` seam.  For a fixed
-descriptor it is bit-identical to the pre-engine ``run_experiment``: same
-machine construction, same RNG streams, same product dictionaries.
+The reference engine.  Each product builds a fresh machine from the
+descriptor's config and runs the experiment of its kind: the idle
+calibration, an ImpactB probe beside a looped workload, or an application
+alone or beside a looped interferer (:func:`isolated_runtime` and
+:func:`corun_slowdown`, which answer both co-run kinds).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .. import telemetry
-from ..errors import ExperimentError
+from ..core.experiments.calibration import calibrate
+from ..core.experiments.compression import (
+    CompressionExperiment,
+    corun_slowdown,
+    isolated_runtime,
+)
+from ..core.experiments.impact import ImpactExperiment
 from ..queueing import ServiceEstimate
-from .base import EngineCapabilities, ExperimentEngine, register_engine
+from ..workloads import Workload
+from .base import EngineCapabilities, ExperimentEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.experiments.pipeline import ExperimentDescriptor
@@ -32,62 +39,45 @@ class SimulationEngine(ExperimentEngine):
             summary="packet-level discrete-event simulation (ground truth)",
         )
 
-    def run(self, descriptor: "ExperimentDescriptor") -> object:
-        with telemetry.span(f"solve:{descriptor.kind}", "engine", engine=self.name):
-            result = self._dispatch(descriptor)
-        if telemetry.enabled():
-            telemetry.registry().counter_inc(
-                "engine.products", kind=descriptor.kind, engine=self.name
-            )
-        return result
-
-    def _dispatch(self, descriptor: "ExperimentDescriptor") -> object:
-        # Imported here, not at module top: these experiment modules are
-        # themselves reachable from repro.core.experiments' package import,
-        # and this engine module only loads lazily via get_engine().
-        from ..core.experiments.calibration import calibrate
-        from ..core.experiments.compression import CompressionExperiment
-        from ..core.experiments.corun import CoRunExperiment
-        from ..core.experiments.impact import ImpactExperiment
-
+    def calibration(self, descriptor: "ExperimentDescriptor") -> dict:
         settings = descriptor.settings
-        config = descriptor.machine_config
-        calibration = (
-            ServiceEstimate.from_dict(descriptor.calibration)
-            if descriptor.calibration is not None
-            else None
+        return calibrate(
+            descriptor.machine_config,
+            duration=settings.calibration_duration,
+            probe_interval=settings.probe_interval,
+        ).to_dict()
+
+    @staticmethod
+    def _probed(descriptor: "ExperimentDescriptor") -> tuple:
+        """A probed experiment's machine, idle calibration and probe interval."""
+        calibration = descriptor.calibration
+        return (
+            descriptor.machine_config,
+            None if calibration is None else ServiceEstimate.from_dict(calibration),
+            descriptor.settings.probe_interval,
         )
-        if descriptor.kind == "calibration":
-            return calibrate(
-                config,
-                duration=settings.calibration_duration,
-                probe_interval=settings.probe_interval,
-            ).to_dict()
-        if descriptor.kind == "impact":
-            experiment = ImpactExperiment(
-                config, calibration, probe_interval=settings.probe_interval
-            )
-            return experiment.measure(
-                descriptor.workload, duration=settings.impact_duration
-            ).to_dict()
-        if descriptor.kind == "comp_sig":
-            experiment = CompressionExperiment(
-                config, calibration, probe_interval=settings.probe_interval
-            )
-            return experiment.signature_of(
-                descriptor.comp_config, duration=settings.signature_duration
-            ).to_dict()
-        if descriptor.kind == "baseline":
-            return CompressionExperiment(config).baseline(descriptor.workload)
-        if descriptor.kind == "degradation":
-            return CompressionExperiment(config).degradation(
-                descriptor.workload, descriptor.comp_config, baseline=descriptor.baseline
-            )
-        if descriptor.kind == "pair":
-            experiment = CoRunExperiment(config)
-            experiment._baselines[descriptor.label] = descriptor.baseline
-            return experiment.slowdown(descriptor.workload, descriptor.other)
-        raise ExperimentError(f"unknown descriptor kind {descriptor.kind!r}")
 
+    def impact(self, descriptor: "ExperimentDescriptor") -> dict:
+        experiment = ImpactExperiment(*self._probed(descriptor))
+        return experiment.measure(
+            descriptor.workload, duration=descriptor.settings.impact_duration
+        ).to_dict()
 
-register_engine("sim", SimulationEngine)
+    def comp_sig(self, descriptor: "ExperimentDescriptor") -> dict:
+        experiment = CompressionExperiment(*self._probed(descriptor))
+        return experiment.signature_of(
+            descriptor.comp_config, duration=descriptor.settings.signature_duration
+        ).to_dict()
+
+    def baseline(self, descriptor: "ExperimentDescriptor") -> float:
+        return isolated_runtime(descriptor.machine_config, descriptor.workload)
+
+    def slowdown(
+        self, descriptor: "ExperimentDescriptor", interferer: Workload
+    ) -> float:
+        return corun_slowdown(
+            descriptor.machine_config,
+            descriptor.workload,
+            interferer,
+            descriptor.baseline,
+        )

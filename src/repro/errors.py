@@ -19,7 +19,6 @@ __all__ = [
     "SimulationError",
     "ProcessFailure",
     "MPIError",
-    "MatchingError",
     "EstimationError",
     "ExperimentError",
     "AnalyticModelError",
@@ -61,10 +60,6 @@ class ProcessFailure(SimulationError):
 
 class MPIError(ReproError):
     """Misuse of the simulated message-passing layer."""
-
-
-class MatchingError(MPIError):
-    """A receive could not be matched or a request was misused."""
 
 
 class EstimationError(ReproError):

@@ -16,9 +16,9 @@ with rounds of *plan → measure → refit*:
    executes the subset under the remaining measurement budget with the
    campaign's fault-tolerant runner and cache.
 3. **Stop** — when the Queue model's mean holdout prediction error has
-   stabilized for two consecutive rounds, the budget is
-   exhausted, the strategy has nothing left to propose, or ``max_rounds``
-   is hit.
+   stabilized for two consecutive rounds, the budget is exhausted or
+   admits none of the next round's uncached keys, the strategy has
+   nothing left to propose, or ``max_rounds`` is hit.
 
 Everything is deterministic for a given (catalog, seed, budget): costs are
 settings-derived estimates, admission is order-based, the holdout schedule
@@ -40,6 +40,7 @@ from ..core.experiments.impact import ImpactResult
 from ..core.experiments.pipeline import enforce_failure_budget
 from ..core.models import PredictionEngine, default_models
 from ..errors import ConfigurationError, ExperimentError
+from ..parallel import admit_within_budget
 from .base import PlanContext, Planner
 from .costs import CostModel
 from .strategies import holdout_schedule
@@ -371,6 +372,14 @@ class PlannedCampaign:
                 self._refused.add(self.pipeline.raw_key(record["key"]))
         return stats
 
+    def _admits_any(self, keys: List[str], remaining: float) -> bool:
+        """Whether ``remaining`` admits one of the uncached ``keys`` (or
+        every key is cached, so the round costs nothing)."""
+        uncached = [key for key in keys if not self.pipeline.has_product(key)]
+        return not uncached or any(
+            admit_within_budget(self.cost_model.costs_for(uncached), remaining)
+        )
+
     @staticmethod
     def _round_entry(
         round_index: int,
@@ -497,6 +506,9 @@ class PlannedCampaign:
             keys = list(proposal.keys) + self._next_holdout(snapshot)
             if not keys:
                 result.stop_reason = "nothing-to-propose"
+                break
+            if remaining is not None and not self._admits_any(keys, remaining):
+                result.stop_reason = "budget-exhausted"
                 break
             if telemetry.enabled():
                 telemetry.registry().counter_inc("planner.rounds")

@@ -1,34 +1,9 @@
-"""Tests for the experiment-engine protocol and registry."""
+"""Tests for the engine table behind ``get_engine``."""
 
 import pytest
 
-from repro.engine import (
-    ExperimentEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from repro.engine.base import _FACTORIES, _INSTANCES
+from repro.engine import available_engines, get_engine
 from repro.errors import ExperimentError
-
-
-class _NullEngine(ExperimentEngine):
-    name = "null"
-
-    def run(self, descriptor):
-        return {"kind": descriptor.kind}
-
-
-@pytest.fixture
-def clean_registry():
-    """Snapshot and restore the registry around registration tests."""
-    factories = dict(_FACTORIES)
-    instances = dict(_INSTANCES)
-    yield
-    _FACTORIES.clear()
-    _FACTORIES.update(factories)
-    _INSTANCES.clear()
-    _INSTANCES.update(instances)
 
 
 def test_builtins_are_always_available():
@@ -49,36 +24,6 @@ def test_get_engine_returns_singleton():
 def test_unknown_engine_lists_available():
     with pytest.raises(ExperimentError, match="sim"):
         get_engine("definitely-not-an-engine")
-
-
-def test_register_custom_engine(clean_registry):
-    register_engine("null", _NullEngine)
-    assert "null" in available_engines()
-    assert isinstance(get_engine("null"), _NullEngine)
-
-
-def test_duplicate_registration_rejected(clean_registry):
-    register_engine("null", _NullEngine)
-    with pytest.raises(ExperimentError, match="already registered"):
-        register_engine("null", _NullEngine)
-
-
-def test_replace_allows_overwrite_and_drops_cached_instance(clean_registry):
-    register_engine("null", _NullEngine)
-    first = get_engine("null")
-
-    class _Other(_NullEngine):
-        pass
-
-    register_engine("null", _Other, replace=True)
-    assert get_engine("null") is not first
-    assert isinstance(get_engine("null"), _Other)
-
-
-@pytest.mark.parametrize("bad", ["", "with/slash"])
-def test_invalid_engine_names_rejected(bad):
-    with pytest.raises(ExperimentError):
-        register_engine(bad, _NullEngine)
 
 
 def test_pipeline_settings_validates_engine():

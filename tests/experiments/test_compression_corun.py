@@ -6,8 +6,8 @@ from repro.cluster import small_test_config
 from repro.core.experiments import (
     CompressionExperiment,
     CompressionObservation,
-    CoRunExperiment,
     calibrate,
+    corun_slowdown,
     percent_slowdown,
 )
 from repro.errors import ExperimentError
@@ -81,30 +81,19 @@ def test_quiet_app_barely_degrades():
 # ----------------------------------------------------------------------
 # Co-run
 # ----------------------------------------------------------------------
-def test_corun_baseline_cached():
-    experiment = CoRunExperiment(CFG)
-    app = _quiet_app()
-    first = experiment.baseline(app)
-    second = experiment.baseline(app)
-    assert first == second
-
-
 def test_corun_slowdown_of_comm_app_next_to_itself():
-    experiment = CoRunExperiment(CFG)
-    slowdown = experiment.slowdown(_comm_app(), _comm_app())
+    slowdown = corun_slowdown(CFG, _comm_app(), _comm_app())
     # Two all-to-all jobs on one switch must interfere measurably.
     assert slowdown > 1.0
 
 
 def test_corun_quiet_pair_barely_interferes():
-    experiment = CoRunExperiment(CFG)
-    slowdown = experiment.slowdown(_quiet_app(), _quiet_app())
+    slowdown = corun_slowdown(CFG, _quiet_app(), _quiet_app())
     assert abs(slowdown) < 10.0
 
 
 def test_corun_asymmetry_comm_vs_quiet():
     """The quiet app hurts the comm app less than another comm app would."""
-    experiment = CoRunExperiment(CFG)
-    vs_quiet = experiment.slowdown(_comm_app(), _quiet_app())
-    vs_comm = experiment.slowdown(_comm_app(), _comm_app())
+    vs_quiet = corun_slowdown(CFG, _comm_app(), _quiet_app())
+    vs_comm = corun_slowdown(CFG, _comm_app(), _comm_app())
     assert vs_comm > vs_quiet

@@ -57,28 +57,28 @@ PIPELINES = {
 #: in ``product_keys()`` order.
 DIGESTS = {
     "analytic-paper": {
-        "baseline": "9b1d5000f6d6f2f71282517d1cce2d0f7a1602e6236258c629c3c2bcf9f95f02",
-        "calibration": "934e27500ae685553218574ced7f26bac81d484a44d8463365432700bb1aa2a2",
-        "comp_sig": "0269703e97989cd9fd2b98b4214f26b20a34fa54e1cab5c03801a1173494bd0c",
-        "degradation": "6c7fcb0c2ec35a3ca209e4ba00c8a88d7a1d0fa8a45c4c7f92d0960f99f21327",
-        "impact": "e9849292cc42e4d9d6c6b17723a9cdb8e3538c55619079562cd62ab0330e44a5",
-        "pair": "443faa37e23207443148ede55afba903942342d5c0fe008c09769b9a7c01e5a5",
+        "baseline": "7fb5e804a55951d870419125f3c94341bc9011ada6c7d0c1acfac33bc549dcf7",
+        "calibration": "1dd54900445160dfd5ffb387113640561eed13b35e68e7bda7d2cb1ac3da9081",
+        "comp_sig": "c24b90fa34386458aa182ee7dabd79c774aff309d6a9362dbbaf67a0a334a8fa",
+        "degradation": "ee0b097a564ebc6d3637008cc55aa2e795d30ad7777d4007ce82d8c37da18bd0",
+        "impact": "714c679d9765e475c16ac38c66427d038e7f84b14371a5a0f150500e948e4ef2",
+        "pair": "b576298b1bbc3eabb572dd7bcf3398fa8c2bf4e2712a72dfddf389dda1f588c1",
     },
     "fluid-quick-leaf-spine": {
-        "baseline": "ba58d39af41c0ad17eb2d37e0f48ae160ca0ab8dc118678b3b34b88bd00c4c05",
-        "calibration": "d76e8caff030824cb3dae80883c204239e47ab2e584a71c6687be3742769343a",
-        "comp_sig": "049af5b029cbbbb2fe34e6ebf03b0e5dda3355d2068d7f15dd01bcd6cb82e074",
-        "degradation": "2d27edd114a719e62d888fc58d10f6d1445a450ebe2b41f6bf0b8422a435fb56",
-        "impact": "b8bbcf41b628e632ae337c277bee8fe6fa7d63e69f0568714468afd094293736",
-        "pair": "3692eeb12cacac807d6191b8ddf032bfcf1bca4121086f84a439967e7971975c",
+        "baseline": "9cba0e662117859390e1d241c51b1c1165caeea45153711eb6439577beb6c5fb",
+        "calibration": "83777f20f66034510de22b73af90ac4bbad75a38fb71b64efe51597aa98bccd0",
+        "comp_sig": "079c00a09cc251727e886a97af52b7e548eb1288300b50076d86285dba62fc01",
+        "degradation": "d6c551ec6a70f39eb3e9be4daf6585991aa65b913bdf01ef782499058f021705",
+        "impact": "2415bceaa0ea526b9f191f1f460575d54fe7251265c14047d9ce70f94566cc45",
+        "pair": "32f825e9e4b3af0896228b466cae6473bb18a5ed0975dd427082818b42e335a2",
     },
     "sim-quick-small": {
-        "baseline": "6e4673afa53a7c77c8c3c63b58c83ca3b29da5cdea6b04e29a6d34e4c1c0c481",
-        "calibration": "d01b2a32ff67b000f98d0d430ea8b85b4329fb2a116bc5da7f25d956756df054",
-        "comp_sig": "cf5357e8081d4e0c6febe76b8d67f4f3b5ebfde05b833c0afd53f88b66a85a7c",
-        "degradation": "8141ed9d9523a0ec95ed06b1fe00cd90a4b9460b0751b0e53ddbd8d6d6ed78ec",
-        "impact": "e956dc7057adf5120206d265cf42733a59952e38a23170d6702c5b32054c7765",
-        "pair": "8e1765321c7d1e7b1ca01651331a54b62105f7c27cb72a1937232713f7eb3c9d",
+        "baseline": "bbfdf1fc193240c346f75aa2748a1f1f4e558659dd0d9d8c3f0d5e752a9637e1",
+        "calibration": "0df536ce4e9be9391d17d7518bd6fd15e2cf4f8678473e508c6a42231fe0bc28",
+        "comp_sig": "be2842df7ec2552ddca38fbda7899e845f903608a56a92c9b3067c97de9a88b2",
+        "degradation": "2dc3d3b2f021f33a4f18b37e305c3b528638509e97f5d015bf1f743edfe67908",
+        "impact": "321a5b5538bc11632f94200fff2bd5749f09e1b6137b651b575f07ab0124dc92",
+        "pair": "86e1ca8891e5402684f0c1794b761aa05bd2c1343592a224f75ebfdebfeaac04",
     },
 }
 
@@ -95,7 +95,6 @@ def _record(pipeline, descriptor):
         "comp": descriptor.comp_config.label if descriptor.comp_config else None,
         "calibration": descriptor.calibration,
         "baseline": descriptor.baseline,
-        "label": descriptor.label,
     }
 
 

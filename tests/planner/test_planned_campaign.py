@@ -91,6 +91,20 @@ def test_budget_exhaustion_mid_round(pipeline):
     assert result.failed == 0
 
 
+def test_a_round_the_budget_cannot_admit_is_not_run():
+    # The quick-profile analytic campaign at budget 3.0 has 0.04 left after
+    # round 1, less than any key round 2 would request: it stops there
+    # instead of running a round that admits nothing.
+    pipeline = ReproductionPipeline(
+        settings=PipelineSettings(profile="quick", engine="analytic")
+    )
+    result = _campaign(pipeline, budget=3.0, max_rounds=8).run()
+    assert result.stop_reason == "budget-exhausted"
+    assert [entry["round"] for entry in result.rounds] == [0, 1]
+    assert all(entry["executed"] > 0 for entry in result.rounds)
+    assert result.budget_spent <= 3.0
+
+
 def test_resume_from_cache_costs_zero_budget(tmp_path):
     cache = tmp_path / "cache"
     first = _campaign(make_pipeline(cache_path=cache)).run()
