@@ -34,11 +34,12 @@ def _campaign_seconds(enable: bool) -> float:
     with tempfile.TemporaryDirectory() as scratch:
         cache = Path(scratch) / "cache"
         logs.configure(str(Path(scratch) / "events.jsonl") if enable else None)
+        if enable:
+            telemetry.enable()
         try:
             pipeline = ReproductionPipeline(
                 settings=PipelineSettings(profile="paper", engine="analytic"),
                 cache_path=cache,
-                telemetry=enable,
             )
             start = time.perf_counter()
             stats = pipeline.ensure_all(workers=1)

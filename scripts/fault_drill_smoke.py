@@ -41,7 +41,7 @@ def drill(cache: str) -> None:
         return ReproductionPipeline(
             settings=PipelineSettings(profile="paper", engine="analytic"),
             cache_path=cache,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=2),
         )
 
     stats = pipeline().ensure_all(workers=2, failure_budget=1)

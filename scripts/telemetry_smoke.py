@@ -13,6 +13,7 @@ import json
 import pathlib
 import sys
 
+from repro import telemetry
 from repro.core.experiments import PipelineSettings, ReproductionPipeline
 from repro.telemetry.report import load_report, trace_from_report
 
@@ -22,10 +23,10 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     cache = pathlib.Path(argv[0])
+    telemetry.enable()
     pipeline = ReproductionPipeline(
         settings=PipelineSettings(profile="paper", engine="analytic"),
         cache_path=cache,
-        telemetry=True,
     )
     stats = pipeline.ensure_all(workers=2)
     assert stats["failed"] == 0, stats

@@ -40,9 +40,10 @@ from . import jsonfile
 from . import telemetry as telemetry_mod
 from .analysis.report import FIGURES
 from .core.experiments import PipelineSettings, ReproductionPipeline
+from .core.experiments.pipeline import admit_within_budget
 from .errors import ConfigurationError, CorruptDocument
 from .faults import active_fault_plan
-from .parallel import RetryPolicy, admit_within_budget
+from .parallel import RetryPolicy
 
 __all__ = ["main", "build_parser"]
 
@@ -56,7 +57,6 @@ _COMMON_DEFAULTS = {
     "workers": None,
     "max_attempts": 2,
     "task_timeout": None,
-    "retry_backoff": 0.1,
     "failure_budget": 0,
     "telemetry": None,
     "log": None,
@@ -130,13 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="per-experiment wall-clock budget in seconds; a hung task's "
         "worker is killed and the task retried (default: no timeout)",
-    )
-    common.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="base seconds of exponential backoff between attempts "
-        "(deterministically jittered; default 0.1)",
     )
     common.add_argument(
         "--failure-budget",
@@ -468,6 +461,8 @@ def _parse_faults(spec: str):
     from .cluster import FAULT_SCENARIOS, fault_scenario
     from .config import LinkFaultConfig
 
+    if not isinstance(spec, str):  # argparse stores `--faults=--` as []
+        raise ConfigurationError(f"--faults needs a preset or a JSON rule, got {spec!r}")
     spec = spec.strip()
     if not spec:
         return ()
@@ -522,14 +517,9 @@ def _pipeline(
         cache_path=args.cache,
         legacy_cache=args.legacy_cache,
         workers=args.workers,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts,
-            timeout=args.task_timeout,
-            backoff_base=args.retry_backoff,
-        ),
+        retry=RetryPolicy(max_attempts=args.max_attempts, timeout=args.task_timeout),
         failure_budget=args.failure_budget,
         verbose=True,
-        telemetry=args.telemetry,
     )
 
 

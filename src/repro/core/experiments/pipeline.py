@@ -20,11 +20,12 @@ Products are reached two ways.  :meth:`ReproductionPipeline.product` — the
 one memo, behind every typed accessor — returns a cached value or runs the
 experiment in this process.  :meth:`ReproductionPipeline.ensure_products`
 — the one campaign executor, behind both
-:meth:`~ReproductionPipeline.ensure_all` and the adaptive planner — fans
-the pending keys out through :func:`repro.parallel.run_tasks` stage by
-stage, under a retry/timeout policy that turns permanent failures into
-structured :class:`~repro.errors.FailureRecord` holes instead of a dead
-campaign.
+:meth:`~ReproductionPipeline.ensure_all` and the adaptive planner — admits
+the pending keys of each stage under the measurement budget
+(:func:`admit_within_budget`) and fans the admitted ones out through
+:func:`repro.parallel.run_tasks`, under a retry/timeout policy that turns
+permanent failures into structured :class:`~repro.errors.FailureRecord`
+holes instead of a dead campaign.
 
 Products are memoized in memory and, when a cache directory is given, in a
 :class:`~repro.core.experiments.cache.ShardedCache` — one atomic JSON shard
@@ -51,7 +52,7 @@ from ...engine.base import (
     ensure_scenario_supported,
     get_engine,
 )
-from ...errors import CampaignError, ExperimentError, FailureRecord
+from ...errors import CampaignError, ConfigurationError, ExperimentError, FailureRecord
 from ...faults import active_fault_plan, current_attempt
 from ...parallel import RetryPolicy, default_worker_count, run_tasks
 from ...queueing import ServiceEstimate
@@ -70,6 +71,7 @@ __all__ = [
     "PipelineSettings",
     "ReproductionPipeline",
     "ExperimentDescriptor",
+    "admit_within_budget",
     "enforce_failure_budget",
     "input_of",
     "run_experiment",
@@ -243,6 +245,35 @@ def enforce_failure_budget(records: Sequence[Dict[str, object]], budget: int) ->
         )
 
 
+def admit_within_budget(
+    costs: Sequence[float], budget: Optional[float]
+) -> List[bool]:
+    """Budget admission control: which items a budget admits, in order.
+
+    Items are admitted in order while their estimated cost still fits what
+    the items admitted before them left of ``budget``; an item that does
+    not fit is refused, and later, cheaper items may still be admitted.
+    A pure function of the estimates — never of wall-clock measurements or
+    completion order — so the same costs and budget always admit the same
+    subset, whatever the worker count.  ``budget=None`` admits everything.
+
+    Raises:
+        ConfigurationError: a negative cost or budget.
+    """
+    if budget is not None and budget < 0:
+        raise ConfigurationError(f"budget must be >= 0, got {budget}")
+    admitted: List[bool] = []
+    spent = 0.0
+    for cost in costs:
+        if cost < 0:
+            raise ConfigurationError(f"cost must be >= 0, got {cost}")
+        fits = budget is None or spent + cost <= budget + 1e-9
+        if fits:
+            spent += cost
+        admitted.append(fits)
+    return admitted
+
+
 class _CampaignProgress:
     """Completed/total, elapsed, ETA, and live-file reporting for one campaign.
 
@@ -372,21 +403,21 @@ class ReproductionPipeline:
             is a legacy file).
         workers: default process count for :meth:`ensure_products` and
             :meth:`ensure_all` (``None`` → all usable cores but one).
-        retry: per-task retry/timeout/backoff policy for campaign execution
+        retry: per-task retry/timeout policy for campaign execution
             (``None`` → :class:`~repro.parallel.RetryPolicy`'s defaults:
             two attempts, no timeout).
         failure_budget: how many products :meth:`ensure_all` may leave as
             holes before raising :class:`~repro.errors.CampaignError`
             (0 = any permanent failure raises, preserving the historical
             all-or-nothing behavior).
-        telemetry: collect metrics/spans during :meth:`ensure_products`
-            (so :meth:`ensure_all` and planned rounds too) and write
-            ``telemetry.json`` next to the shards.  ``None`` (default)
-            follows the process-wide switch (:func:`repro.telemetry.enabled`,
-            i.e. the ``REPRO_TELEMETRY`` environment variable or an earlier
-            ``enable()``); ``True``/``False`` forces it for this pipeline.
-            Purely observational — products and shards are bit-identical
-            either way.
+
+    Telemetry follows the process-wide switch
+    (:func:`repro.telemetry.enabled`: the ``REPRO_TELEMETRY`` environment
+    variable, ``repro --telemetry``/``--no-telemetry``, or
+    :func:`repro.telemetry.enable`): with it on, :meth:`ensure_products`
+    writes ``telemetry.json`` and keeps ``telemetry.live.json`` current
+    next to the shards.  Purely observational — products and shards are
+    bit-identical either way.
     """
 
     def __init__(
@@ -401,7 +432,6 @@ class ReproductionPipeline:
         workers: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         failure_budget: int = 0,
-        telemetry: Optional[bool] = None,
     ) -> None:
         from ...cluster import cab_config
 
@@ -423,9 +453,6 @@ class ReproductionPipeline:
         self.catalog: List[CompressionConfig] = list(catalog)
         self.verbose = verbose
         self.workers = workers
-        # Optional[bool]: None defers to the process-wide switch at campaign
-        # time (the parameter shadows the telemetry module in this scope).
-        self.telemetry = telemetry
         directory, legacy = self._resolve_cache_paths(cache_path, legacy_cache)
         self.cache_path = directory
         self.legacy_cache = legacy
@@ -736,14 +763,14 @@ class ReproductionPipeline:
         :meth:`ensure_all` calls it with every product; the adaptive
         planner calls it once per round with the subset it chose.  Pending
         products run in the dependency stages of :data:`PRODUCT_KINDS`, one
-        task per product.  Each task runs under the pipeline's :class:`~repro.parallel.RetryPolicy` —
-        bounded retries with backoff, an optional per-task timeout that
-        kills hung workers, and automatic pool respawn after a worker
-        crash.  Each result is appended to the cache's journal as it
-        lands, before its progress line, so interrupting the campaign never
-        loses completed work; the end of each stage, also one cut short by
-        an exception, rewrites every shard the stage touched once and
-        deletes the journal.
+        task per product.  Each task runs under the pipeline's
+        :class:`~repro.parallel.RetryPolicy` — bounded retries, an optional
+        per-task timeout that kills hung workers, and automatic pool
+        respawn after a worker crash.  Each result is appended to the
+        cache's journal as it lands, before its progress line, so
+        interrupting the campaign never loses completed work; the end of
+        each stage, also one cut short by an exception, rewrites every
+        shard the stage touched once and deletes the journal.
 
         A product's input (:func:`input_of`) missing from the cache when
         its dependent's stage starts is never computed inline; the
@@ -759,18 +786,20 @@ class ReproductionPipeline:
         * already-cached products cost *zero* — they are loaded, never
           charged, so a resumed planned campaign spends its budget only on
           new measurements;
-        * admission is decided up front per stage from the estimates
-          (deterministic in key order, whatever the worker count); keys
-          that don't fit land in ``skipped``;
+        * admission (:func:`admit_within_budget`) is decided up front per
+          stage from the estimates, before the stage runs (deterministic
+          in key order, whatever the worker count); keys that don't fit
+          land in ``skipped`` and never run;
         * a deterministic model refusal (``unsupported``) refunds its
           cost: a refusal is knowledge about the model's domain, not a
           spent experiment, and the refund is available to the *next*
           stage (and the planner's next round).
 
         Every call — finished, or aborted by a failed calibration — writes
-        ``failure_report.json`` next to the shards; with telemetry on it
-        also writes ``telemetry.json`` and keeps the live
-        ``telemetry.live.json`` current, ending with a ``complete`` frame.
+        ``failure_report.json`` next to the shards; with the process-wide
+        telemetry switch on it also writes ``telemetry.json`` and keeps
+        the live ``telemetry.live.json`` current, ending with a
+        ``complete`` frame.
 
         Args:
             raw_keys: unqualified product keys (see :meth:`descriptor_for`);
@@ -791,6 +820,7 @@ class ReproductionPipeline:
         Raises:
             CampaignError: the calibration was attempted and failed
                 permanently.
+            ConfigurationError: a negative cost or budget.
         """
         count = workers if workers is not None else self.workers
         if count is None:
@@ -799,9 +829,7 @@ class ReproductionPipeline:
             raise ExperimentError(
                 f"costs/raw_keys length mismatch: {len(costs)} != {len(raw_keys)}"
             )
-        telemetry_on = self.telemetry if self.telemetry is not None else telemetry.enabled()
-        if telemetry_on:
-            telemetry.enable()
+        telemetry_on = telemetry.enabled()
 
         cost_of: Dict[str, float] = {}
         for index, raw in enumerate(raw_keys):
@@ -852,26 +880,25 @@ class ReproductionPipeline:
             progress.begin_stage(name, len(runnable))
             wall0, cpu0 = time.time(), time.process_time()
             with telemetry.span(f"stage:{name}", "pipeline", engine=self.settings.engine):
-                report = self._run_stage(
-                    [self.descriptor_for(raw) for raw in runnable],
+                spent, refunded = self._run_stage(
+                    runnable,
+                    [cost_of[raw] for raw in runnable],
+                    remaining,
                     1 if name == "calibration" else count,
                     progress,
                     failures,
                     transients,
-                    costs=[cost_of[raw] for raw in runnable],
-                    budget=remaining,
+                    skipped,
                 )
             phases[name] = {
                 "wall": time.time() - wall0,
                 "cpu": time.process_time() - cpu0,
             }
             progress.end_stage(len(failures), len(transients))
-            if report is not None:
-                skipped.extend(report.skipped)
-                budget_spent += report.budget_spent
-                budget_refunded += report.budget_refunded
-                if remaining is not None:
-                    remaining = max(0.0, remaining - report.budget_spent)
+            budget_spent += spent
+            budget_refunded += refunded
+            if remaining is not None:
+                remaining = max(0.0, remaining - spent)
             if name == "calibration" and failures:
                 write_reports()
                 raise CampaignError(
@@ -999,16 +1026,31 @@ class ReproductionPipeline:
 
     def _run_stage(
         self,
-        descriptors: List[ExperimentDescriptor],
+        raws: List[str],
+        costs: List[float],
+        budget: Optional[float],
         workers: int,
         progress: _CampaignProgress,
         failures: List[FailureRecord],
         transients: List[FailureRecord],
-        costs: Optional[Sequence[float]] = None,
-        budget: Optional[float] = None,
-    ):
-        if not descriptors:
-            return None
+        skipped: List[str],
+    ) -> Tuple[float, float]:
+        """Admit one stage's runnable keys under ``budget`` and run them.
+
+        The keys that do not fit join ``skipped`` in key order and never
+        run.  Returns ``(spent, refunded)``: the admitted keys' costs less
+        the cost of each one that went terminal as ``unsupported``, and
+        the sum of those refunds.
+        """
+        fits = admit_within_budget(costs, budget)
+        skipped.extend(self._key(raw) for raw, fit in zip(raws, fits) if not fit)
+        charged = {
+            self._key(raw): cost for raw, cost, fit in zip(raws, costs, fits) if fit
+        }
+        spent, refunded = sum(charged.values(), 0.0), 0.0
+        if not charged:
+            return spent, refunded
+        descriptors = [self.descriptor_for(raw) for raw, fit in zip(raws, fits) if fit]
         by_key = {descriptor.key: descriptor for descriptor in descriptors}
 
         def land(_index: int, key: str, value: object) -> None:
@@ -1025,14 +1067,15 @@ class ReproductionPipeline:
                 workers=workers,
                 policy=self.retry,
                 on_result=land,
-                costs=costs,
-                budget=budget,
             )
         finally:
             self._cache.flush()
         for record in report.failures:
             record.kind = by_key[record.key].kind
             failures.append(record)
+            if record.category == "unsupported" and charged[record.key] > 0:
+                spent -= charged[record.key]
+                refunded += charged[record.key]
             if self.verbose:
                 print(f"[pipeline] FAILED {record.describe()}", flush=True, file=sys.stderr)
         for record in report.transients:
@@ -1040,7 +1083,7 @@ class ReproductionPipeline:
             transients.append(record)
             if self.verbose:
                 print(f"[pipeline] retrying {record.describe()}", flush=True, file=sys.stderr)
-        return report
+        return spent, refunded
 
     def _write_failure_report(
         self,

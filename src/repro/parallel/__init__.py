@@ -3,14 +3,12 @@
 from .runner import (
     RetryPolicy,
     RunReport,
-    admit_within_budget,
     default_worker_count,
     run_tasks,
 )
 
 __all__ = [
     "run_tasks",
-    "admit_within_budget",
     "default_worker_count",
     "RetryPolicy",
     "RunReport",

@@ -3,17 +3,20 @@
 The reproduction campaign is embarrassingly parallel: every experiment
 builds its own machine and shares nothing.  :func:`run_tasks` runs a pure
 function over task items with per-task future scheduling and a
-:class:`RetryPolicy` — bounded retries with exponential backoff and
-deterministic jitter, a per-task timeout that kills and recycles hung
-workers, and recovery from a broken process pool (respawn, requeue the
-in-flight items).  A task that exhausts its attempts becomes a structured
+:class:`RetryPolicy` — bounded retries, a per-task timeout that kills and
+recycles hung workers, and recovery from a broken process pool (respawn,
+requeue the in-flight items).  A failed attempt goes straight to the back
+of the ready queue: every task is a deterministic function of its item, so
+waiting before a retry could not change its outcome.  A task that
+exhausts its attempts becomes a structured
 :class:`~repro.errors.FailureRecord` instead of taking the campaign down.
 
 One scheduler drives both execution modes, one task per submission.  With
 one worker (or one task) and no timeout it runs in-process, through an
 executor that runs each task the moment it is submitted; otherwise through
-a process pool.  Retries, backoff, refunds, and failure bookkeeping are
-the same code either way.
+a process pool.  Retries and failure bookkeeping are the same code either
+way.  Which tasks to run at all (the measurement budget) is the caller's
+decision: see :func:`repro.core.experiments.pipeline.admit_within_budget`.
 
 Functions and items must be picklable (top-level functions, dataclass
 configs) for the process-pool path.
@@ -22,7 +25,6 @@ configs) for the process-pool path.
 from __future__ import annotations
 
 import os
-import random
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -41,7 +43,6 @@ from ..errors import (
 
 __all__ = [
     "run_tasks",
-    "admit_within_budget",
     "default_worker_count",
     "RetryPolicy",
     "RunReport",
@@ -50,11 +51,6 @@ __all__ = [
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
-#: Backoff growth per further attempt, its ceiling in seconds, and the
-#: fractional jitter added to each delay.
-BACKOFF_FACTOR = 2.0
-BACKOFF_MAX = 30.0
-BACKOFF_JITTER = 0.1
 #: Process-pool rebuilds (after crashes or timeout kills) before a run
 #: aborts: past this the environment, not an experiment, is failing.
 MAX_RESPAWNS = 5
@@ -94,14 +90,10 @@ class RetryPolicy:
             is killed, the pool respawned, and the task retried.  (With
             ``workers=1`` a configured timeout forces a single-worker pool so
             it can still be enforced.)
-        backoff_base: sleep before the second attempt, in seconds; each
-            further attempt multiplies it by :data:`BACKOFF_FACTOR`, up to
-            :data:`BACKOFF_MAX`.
     """
 
     max_attempts: int = 2
     timeout: Optional[float] = None
-    backoff_base: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -110,24 +102,6 @@ class RetryPolicy:
             )
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff_base < 0:
-            raise ConfigurationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-
-    def backoff_delay(self, key: str, attempt: int) -> float:
-        """Seconds to wait before retry number ``attempt`` (2-based).
-
-        Exponential in the attempt number with a deterministic jitter of up
-        to :data:`BACKOFF_JITTER` seeded from ``(key, attempt)``: two runs
-        of the same campaign back off identically, but different tasks
-        desynchronize.
-        """
-        if self.backoff_base == 0:
-            return 0.0
-        raw = self.backoff_base * BACKOFF_FACTOR ** max(0, attempt - 2)
-        unit = random.Random(f"{key}:{attempt}").random()
-        return min(BACKOFF_MAX, raw * (1.0 + BACKOFF_JITTER * unit))
 
 
 @dataclass
@@ -136,29 +110,20 @@ class RunReport:
 
     Attributes:
         results: per-item results in item order; ``None`` where the task
-            failed permanently or was skipped for budget (check ``failures``
-            / ``skipped`` to distinguish a ``None`` result from a hole).
-        failures: terminal :class:`~repro.errors.FailureRecord` s.
+            failed permanently (check ``failures`` to tell a ``None``
+            result from a hole).
+        failures: terminal :class:`~repro.errors.FailureRecord` s, in the
+            order the tasks went terminal.
         transients: attempt-level failures that were later retried
             (successfully or not) — the observability trail of the retry
             machinery.
         pool_respawns: times the process pool was rebuilt.
-        skipped: keys of tasks never scheduled because their estimated cost
-            did not fit the remaining measurement budget (in item order).
-        budget_spent: estimated cost charged against the budget — admitted
-            tasks' costs minus any refunds.
-        budget_refunded: cost given back for tasks that turned out to be
-            deterministic model refusals (``unsupported``): a refusal is
-            free knowledge, not a spent experiment.
     """
 
     results: List[Optional[object]] = field(default_factory=list)
     failures: List[FailureRecord] = field(default_factory=list)
     transients: List[FailureRecord] = field(default_factory=list)
     pool_respawns: int = 0
-    skipped: List[str] = field(default_factory=list)
-    budget_spent: float = 0.0
-    budget_refunded: float = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +191,6 @@ def _record_attempt_failure(
     terminal: bool,
     attempt: int,
     message: str,
-    delay: float = 0.0,
 ) -> None:
     """Count one failed attempt: terminal hole vs retried transient.
 
@@ -251,7 +215,6 @@ def _record_attempt_failure(
                 key=key,
                 category=category,
                 attempt=attempt,
-                delay=round(delay, 3),
                 message=message,
             )
     if not telemetry.enabled():
@@ -261,9 +224,6 @@ def _record_attempt_failure(
         registry.counter_inc("runner.tasks_failed", category=category)
     else:
         registry.counter_inc("runner.tasks_retried", category=category)
-        if delay > 0:
-            registry.counter_inc("runner.backoff_sleeps")
-            registry.counter_inc("runner.backoff_seconds", delay)
     if category == "timeout":
         registry.counter_inc("runner.timeouts")
 
@@ -280,7 +240,6 @@ class _Task:
     item: object
     attempt: int = 1
     started: float = 0.0
-    cost: float = 0.0
 
 
 class _InProcessExecutor:
@@ -322,9 +281,8 @@ class _Scheduler:
         self.policy = policy
         self.on_result = on_result
         self.report = report
-        # ready: tasks runnable now; waiting: (ready_at, task) backoff queue.
+        # Tasks runnable now, retries included (requeued at the back).
         self.ready: deque = deque(tasks)
-        self.waiting: List[Tuple[float, _Task]] = []
         self.in_flight: Dict[Future, Tuple[_Task, Optional[float]]] = {}
         self.pool = None
         # Decided once in the driver: workers only pay for telemetry capture
@@ -371,7 +329,7 @@ class _Scheduler:
             self.on_result(task.index, task.key, value)
 
     def _fail_attempt(self, task: _Task, category: str, message: str) -> None:
-        """Charge one failed attempt; requeue with backoff or record the hole.
+        """Charge one failed attempt; requeue the task or record the hole.
 
         ``unsupported`` failures (deterministic model refusals) go terminal
         on the first attempt — retrying a deterministic refusal can only
@@ -385,52 +343,28 @@ class _Scheduler:
             attempts=task.attempt,
             elapsed=elapsed,
         )
-        if task.attempt >= self.policy.max_attempts or category == "unsupported":
+        terminal = task.attempt >= self.policy.max_attempts or category == "unsupported"
+        _record_attempt_failure(
+            task.key, category, terminal=terminal, attempt=task.attempt, message=message
+        )
+        if terminal:
             self.report.failures.append(record)
-            if category == "unsupported":
-                _refund_cost(self.report, task)
-            _record_attempt_failure(
-                task.key, category, terminal=True, attempt=task.attempt, message=message
-            )
             return
         self.report.transients.append(record)
-        delay = self.policy.backoff_delay(task.key, task.attempt + 1)
-        _record_attempt_failure(
-            task.key,
-            category,
-            terminal=False,
-            attempt=task.attempt,
-            message=message,
-            delay=delay,
-        )
         task.attempt += 1
-        self.waiting.append((time.monotonic() + delay, task))
+        self.ready.append(task)
 
     # -- main loop -------------------------------------------------------
     def run(self) -> RunReport:
         self._spawn_pool()
         try:
-            while self.ready or self.waiting or self.in_flight:
-                self._promote_waiting()
+            while self.ready or self.in_flight:
                 self._submit_ready()
-                if not self.in_flight:
-                    self._sleep_until_next_waiting()
-                    continue
                 self._collect()
         finally:
             if self.pool is not None:
                 self.pool.shutdown(wait=False, cancel_futures=True)
         return self.report
-
-    def _promote_waiting(self) -> None:
-        now = time.monotonic()
-        still_waiting = []
-        for ready_at, task in self.waiting:
-            if ready_at <= now:
-                self.ready.append(task)
-            else:
-                still_waiting.append((ready_at, task))
-        self.waiting = still_waiting
 
     def _submit_ready(self) -> None:
         while self.ready and len(self.in_flight) < self.workers:
@@ -457,22 +391,12 @@ class _Scheduler:
             )
             self.in_flight[future] = (task, deadline)
 
-    def _sleep_until_next_waiting(self) -> None:
-        if not self.waiting:
-            return
-        delay = min(ready_at for ready_at, _ in self.waiting) - time.monotonic()
-        if delay > 0:
-            time.sleep(min(delay, 0.5))
-
     def _collect(self) -> None:
         now = time.monotonic()
         timeout = None
         deadlines = [dl for _, dl in self.in_flight.values() if dl is not None]
         if deadlines:
             timeout = max(0.0, min(deadlines) - now)
-        if self.waiting:
-            next_ready = min(ready_at for ready_at, _ in self.waiting) - now
-            timeout = max(0.0, next_ready) if timeout is None else min(timeout, max(0.0, next_ready))
         done, _ = wait(list(self.in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
         if not done:
             self._enforce_timeouts()
@@ -548,38 +472,6 @@ class _Scheduler:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _refund_cost(report: RunReport, task: _Task) -> None:
-    """Give a deterministic refusal's estimated cost back to the budget."""
-    if task.cost <= 0:
-        return
-    report.budget_spent -= task.cost
-    report.budget_refunded += task.cost
-    if telemetry.enabled():
-        telemetry.registry().counter_inc("runner.budget_refunded", task.cost)
-
-
-def admit_within_budget(
-    costs: Sequence[float], budget: Optional[float]
-) -> List[bool]:
-    """Budget admission control: which items a budget admits, in order.
-
-    Items are admitted in order while their estimated cost still fits what
-    the items admitted before them left of ``budget``; an item that does
-    not fit is refused, and later, cheaper items may still be admitted.
-    A pure function of the estimates — never of wall-clock measurements or
-    completion order — so the same costs and budget always admit the same
-    subset, whatever the worker count.  ``budget=None`` admits everything.
-    """
-    admitted: List[bool] = []
-    spent = 0.0
-    for cost in costs:
-        fits = budget is None or spent + cost <= budget + 1e-9
-        if fits:
-            spent += cost
-        admitted.append(fits)
-    return admitted
-
-
 def run_tasks(
     function: Callable[[ItemT], ResultT],
     items: Sequence[ItemT],
@@ -587,8 +479,6 @@ def run_tasks(
     workers: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
     on_result: Optional[Callable[[int, str, object], None]] = None,
-    costs: Optional[Sequence[float]] = None,
-    budget: Optional[float] = None,
 ) -> RunReport:
     """Run ``function`` over ``items`` fault-tolerantly; never raises per-task.
 
@@ -598,33 +488,23 @@ def run_tasks(
     Args:
         function: pure task function (must be picklable for workers > 1).
         items: task inputs.
-        keys: stable per-item labels used in failure records, fault matching,
-            and backoff jitter (default: the item's index as a string).
+        keys: stable per-item labels used in failure records and fault
+            matching (default: the item's index as a string).
         workers: process count; ``None`` → :func:`default_worker_count`;
             ``1`` (or a single item) runs in-process **unless** the policy
             sets a timeout (timeouts need a killable worker, so a
             single-worker pool is used instead).
-        policy: retry/timeout/backoff knobs (default :class:`RetryPolicy`).
+        policy: retry/timeout knobs (default :class:`RetryPolicy`).
         on_result: called in the driver as each item lands (in completion
             order) with ``(index, key, value)``.
-        costs: estimated cost per item, same length as ``items``.  Costs
-            accumulate into ``report.budget_spent``; without a ``budget``
-            they are purely informational.
-        budget: admission ceiling over ``costs``
-            (:func:`admit_within_budget`): the items that do not fit land
-            in ``report.skipped`` with ``results[i] = None`` and are never
-            scheduled.  An item that terminally fails as ``unsupported``
-            refunds its cost (reported, not re-admitted).
 
     Returns:
         A :class:`RunReport`: per-item results (``None`` at the holes),
-        terminal failures, transient (retried) failures, pool respawns,
-        and budget accounting (``skipped``/``budget_spent``/
-        ``budget_refunded``).
+        terminal failures, transient (retried) failures, and pool
+        respawns.
 
     Raises:
-        ConfigurationError: invalid ``workers``/``keys``/``costs``/
-            ``budget``.
+        ConfigurationError: invalid ``workers``/``keys``.
         ExperimentError: the pool broke more than :data:`MAX_RESPAWNS`
             times — an environment-level failure no retry can fix.
     """
@@ -634,39 +514,13 @@ def run_tasks(
         raise ConfigurationError(
             f"keys/items length mismatch: {len(keys)} != {len(items)}"
         )
-    if costs is not None and len(costs) != len(items):
-        raise ConfigurationError(
-            f"costs/items length mismatch: {len(costs)} != {len(items)}"
-        )
-    if budget is not None:
-        if costs is None:
-            raise ConfigurationError("budget requires per-item costs")
-        if budget < 0:
-            raise ConfigurationError(f"budget must be >= 0, got {budget}")
     policy = policy if policy is not None else RetryPolicy()
     count = workers if workers is not None else default_worker_count()
     labels = list(keys) if keys is not None else [str(i) for i in range(len(items))]
     tasks = [_Task(index=i, key=labels[i], item=item) for i, item in enumerate(items)]
-    if costs is not None:
-        for task, cost in zip(tasks, costs):
-            if cost < 0:
-                raise ConfigurationError(
-                    f"cost for task {task.key!r} must be >= 0, got {cost}"
-                )
-            task.cost = float(cost)
     if not tasks:
         return RunReport()
     report = RunReport(results=[None] * len(tasks))
-    fits = admit_within_budget([task.cost for task in tasks], budget)
-    report.skipped = [task.key for task, fit in zip(tasks, fits) if not fit]
-    tasks = [task for task, fit in zip(tasks, fits) if fit]
-    report.budget_spent = sum((task.cost for task in tasks), 0.0)
-    if report.skipped and telemetry.enabled():
-        telemetry.registry().counter_inc(
-            "runner.tasks_skipped", float(len(report.skipped)), reason="budget"
-        )
-    if not tasks:
-        return report
     scheduler = _Scheduler(function, tasks, count, policy, on_result, report)
     if telemetry.enabled():
         registry = telemetry.registry()

@@ -12,9 +12,10 @@ with rounds of *plan → measure → refit*:
    utilization plus the first holdout pairs.
 2. **Adaptive rounds** — the strategy proposes the next degradation rows
    from the refitted curves; a fresh slice of the seeded pair-holdout
-   schedule rides along; :meth:`~ReproductionPipeline.ensure_products`
-   executes the subset under the remaining measurement budget with the
-   campaign's fault-tolerant runner and cache.
+   schedule rides along, led by the holdout pairs the previous round
+   skipped for budget; :meth:`~ReproductionPipeline.ensure_products`
+   admits the subset under the remaining measurement budget and executes
+   it with the campaign's fault-tolerant runner and cache.
 3. **Stop** — when the Queue model's mean holdout prediction error has
    stabilized for two consecutive rounds, the budget is exhausted or
    admits none of the next round's uncached keys, the strategy has
@@ -37,10 +38,9 @@ from .. import telemetry
 from ..analysis.degradation import LinearFit, fit_degradation_trend
 from ..core.experiments.compression import CompressionObservation
 from ..core.experiments.impact import ImpactResult
-from ..core.experiments.pipeline import enforce_failure_budget
+from ..core.experiments.pipeline import admit_within_budget, enforce_failure_budget
 from ..core.models import PredictionEngine, default_models
 from ..errors import ConfigurationError, ExperimentError
-from ..parallel import admit_within_budget
 from .base import PlanContext, Planner
 from .costs import CostModel
 from .strategies import holdout_schedule
@@ -207,6 +207,9 @@ class PlannedCampaign:
         self._failure_records: List[dict] = []
         self._refused: set[str] = set()
         self._holdout_pairs: List[Tuple[str, str]] = []
+        # Raw keys of the holdout pairs the last ensure_products call
+        # skipped for budget.
+        self._deferred: List[str] = []
 
     # ------------------------------------------------------------------
     # Measured-state snapshots
@@ -334,14 +337,17 @@ class PlannedCampaign:
     def _next_holdout(self, snapshot: Optional[_Snapshot] = None) -> List[str]:
         """Raw keys of the next slice of the seeded pair schedule.
 
-        Pairs involving an unusable app (impact or baseline missing —
-        typically a model refusal upstream) are dropped, not deferred:
-        requesting them would only mint dependency holes.
+        The holdout pairs the last measurement skipped for budget lead the
+        slice (a skip defers a holdout, it does not drop it), and new pairs
+        from the schedule fill the rest.  Schedule pairs involving an
+        unusable app (impact or baseline missing — typically a model
+        refusal upstream) are dropped, not deferred: requesting them would
+        only mint dependency holes.
         """
         if snapshot is None:
             snapshot = self._context()
         usable = set(snapshot.app_names)
-        keys: List[str] = []
+        keys = list(self._deferred)
         while (
             len(keys) < self.holdout_per_round
             and self._schedule_pos < len(self._schedule)
@@ -366,6 +372,12 @@ class PlannedCampaign:
             costs=self.cost_model.costs_for(keys),
             budget=remaining,
         )
+        # Every requested pair is a holdout: strategies propose degradations.
+        self._deferred = [
+            raw
+            for raw in map(self.pipeline.raw_key, stats["skipped"])
+            if raw.startswith("pair/")
+        ]
         for record in stats["failure_records"]:
             self._failure_records.append(record)
             if record["category"] == "unsupported":
@@ -415,6 +427,9 @@ class PlannedCampaign:
             registry = telemetry.registry()
             registry.counter_inc(
                 "planner.budget_spent", float(stats["budget_spent"])
+            )
+            registry.counter_inc(
+                "planner.budget_refunded", float(stats["budget_refunded"])
             )
             registry.counter_inc(
                 "planner.selected", float(len(stats["skipped"])), outcome="skipped"

@@ -17,8 +17,10 @@ hot loop.
 
 Enablement:
 
-* programmatic — :func:`enable` / :func:`disable` (what the pipeline's
-  ``telemetry=`` knob and the CLI's ``--telemetry`` flag call);
+* programmatic — :func:`enable` / :func:`disable` (what the CLI's
+  ``--telemetry`` / ``--no-telemetry`` flags call); a campaign writes its
+  ``telemetry.json`` and ``telemetry.live.json`` if and only if the
+  switch is on;
 * environment — ``REPRO_TELEMETRY=1`` turns it on at import time (and is
   how spawned pool workers can inherit the setting; forked workers inherit
   the flag directly, and the task protocol re-enables explicitly either

@@ -57,7 +57,7 @@ def _pipeline(cache_path, machine_config=None, **kwargs):
         },
         catalog=list(CATALOG),
         cache_path=cache_path,
-        retry=RetryPolicy(backoff_base=0.0),
+        retry=RetryPolicy(),
         **kwargs,
     )
 
@@ -91,7 +91,8 @@ def test_failed_calibration_aborts_after_writing_both_reports(
 ):
     attempted = _broken_calibration(monkeypatch, error)
     cache = tmp_path / "cache"
-    pipeline = _pipeline(cache, telemetry=True, failure_budget=10)
+    telemetry.enable()
+    pipeline = _pipeline(cache, failure_budget=10)
     with pytest.raises(CampaignError, match="calibration failed permanently") as excinfo:
         if entry == "ensure_all":
             pipeline.ensure_all(workers=1)
@@ -150,7 +151,8 @@ def test_both_entry_points_return_the_same_stats_and_products(tmp_path):
 
 def test_planned_campaign_writes_the_reports_and_no_fake_shards(tmp_path):
     cache = tmp_path / "cache"
-    pipeline = _pipeline(cache, telemetry=True)
+    telemetry.enable()
+    pipeline = _pipeline(cache)
     result = PlannedCampaign(
         pipeline, get_planner("uncertainty"), max_rounds=2, workers=1
     ).run()

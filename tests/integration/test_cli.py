@@ -54,6 +54,18 @@ def test_parser_profile_choices():
         build_parser().parse_args(["--profile", "huge", "calibrate"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--retry-backoff", "0.1", "campaign"], ["campaign", "--retry-backoff", "0.1"]],
+)
+def test_parser_has_no_retry_backoff(argv):
+    # A failed attempt is requeued at once: every experiment is a
+    # deterministic function of its descriptor, so waiting could not
+    # change a retry's outcome and there is no backoff to configure.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
 def _isolated(tmp_path, *argv):
     """CLI args pinned to a tmp cache, with legacy-cache migration off."""
     return ["--cache", str(tmp_path / "cache"), "--legacy-cache", "", *argv]
@@ -273,6 +285,7 @@ fault_specs = st.one_of(
     st.text(max_size=12),
     st.sampled_from(
         [
+            "--",
             "[1]",
             '{"drop_probability": "x"}',
             '{"down": [[1]]}',

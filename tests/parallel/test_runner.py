@@ -1,12 +1,13 @@
 """Tests for the parallel experiment driver."""
 
 import os
+from dataclasses import fields
 
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.parallel import RetryPolicy, default_worker_count, run_tasks
-from repro.parallel.runner import BACKOFF_FACTOR, BACKOFF_JITTER, BACKOFF_MAX, MAX_RESPAWNS
+from repro.parallel import RetryPolicy, RunReport, default_worker_count, run_tasks
+from repro.parallel.runner import MAX_RESPAWNS
 
 
 def _square(x):
@@ -94,7 +95,7 @@ def test_serial_retry_then_success(tmp_path):
         [marker],
         keys=["impact/flaky"],
         workers=1,
-        policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=2),
     )
     assert report.results == ["recovered"]
     assert report.failures == []
@@ -105,8 +106,8 @@ def test_serial_retry_then_success(tmp_path):
 
 
 def test_in_process_retry_waits_while_later_tasks_run(tmp_path):
-    # The retried task sits out its backoff in the queue; the task behind
-    # it runs meanwhile, exactly as on the pool path.
+    # The retried task goes to the back of the queue; the task behind it
+    # runs first, exactly as on the pool path.
     steady = tmp_path / "steady"
     steady.write_text("attempted")
     landed = []
@@ -115,7 +116,7 @@ def test_in_process_retry_waits_while_later_tasks_run(tmp_path):
         [str(tmp_path / "flaky"), str(steady)],
         keys=["flaky", "steady"],
         workers=1,
-        policy=RetryPolicy(max_attempts=2, backoff_base=0.2),
+        policy=RetryPolicy(max_attempts=2),
         on_result=lambda _index, key, _value: landed.append(key),
     )
     assert landed == ["steady", "flaky"]
@@ -131,7 +132,7 @@ def test_pool_retry_then_success(tmp_path):
         [marker, str(tmp_path / "other")],  # both flaky-once, distinct markers
         keys=["a", "b"],
         workers=2,
-        policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=3),
     )
     assert report.results == ["recovered", "recovered"]
     assert report.failures == []
@@ -144,7 +145,7 @@ def test_persistent_failure_becomes_hole_not_exception(tmp_path):
         ["x", "y"],
         keys=["pair/x", "pair/y"],
         workers=1,
-        policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=3),
     )
     assert report.results == [None, None]
     assert len(report.failures) == 2
@@ -182,7 +183,7 @@ def test_hung_task_is_killed_and_retried(tmp_path):
         [marker],
         keys=["impact/hang"],
         workers=2,
-        policy=RetryPolicy(max_attempts=2, timeout=1.0, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=2, timeout=1.0),
     )
     assert report.results == ["awake"]
     assert report.failures == []
@@ -200,7 +201,7 @@ def test_single_worker_with_timeout_still_enforces(tmp_path):
         [marker],
         keys=["impact/hang"],
         workers=1,
-        policy=RetryPolicy(max_attempts=2, timeout=1.0, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=2, timeout=1.0),
     )
     assert report.results == ["awake"]
 
@@ -215,7 +216,7 @@ def test_worker_crash_respawns_pool_and_retries(tmp_path):
         [marker, str(tmp_path / "other")],
         keys=["crash/a", "crash/b"],
         workers=2,
-        policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=3),
     )
     assert report.results == ["respawned", "respawned"]
     assert report.failures == []
@@ -231,37 +232,36 @@ def test_respawn_budget_aborts_run():
             _always_crash,
             [0, 1],
             workers=2,
-            policy=RetryPolicy(max_attempts=MAX_RESPAWNS + 5, backoff_base=0.0),
+            policy=RetryPolicy(max_attempts=MAX_RESPAWNS + 5),
         )
 
 
 # ----------------------------------------------------------------------
 # RetryPolicy
 # ----------------------------------------------------------------------
-def test_backoff_is_deterministic_and_bounded():
-    policy = RetryPolicy(backoff_base=0.5)
-    first = policy.backoff_delay("pair/a/b", 2)
-    assert first == policy.backoff_delay("pair/a/b", 2)  # same (key, attempt)
-    assert 0.5 <= first <= 0.5 * (1 + BACKOFF_JITTER)
-    assert policy.backoff_delay("pair/a/b", 3) != first  # attempts desync
-    assert policy.backoff_delay("pair/c/d", 2) != first  # keys desync
-    assert 0.5 * BACKOFF_FACTOR <= policy.backoff_delay("pair/a/b", 3)
-    assert policy.backoff_delay("pair/a/b", 20) == BACKOFF_MAX  # ceiling
-    assert RetryPolicy(backoff_base=0.0).backoff_delay("k", 2) == 0.0
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"max_attempts": 0},
         {"timeout": 0.0},
         {"timeout": -1.0},
-        {"backoff_base": -0.1},
     ],
 )
 def test_retry_policy_validation(kwargs):
     with pytest.raises(ConfigurationError):
         RetryPolicy(**kwargs)
+
+
+def test_the_runner_holds_no_budget_or_backoff():
+    # Which tasks run is the caller's decision (the pipeline admits the
+    # measurement budget), and a retry is requeued at once.
+    assert [field.name for field in fields(RetryPolicy)] == ["max_attempts", "timeout"]
+    assert [field.name for field in fields(RunReport)] == [
+        "results",
+        "failures",
+        "transients",
+        "pool_respawns",
+    ]
 
 
 def test_keys_length_mismatch_rejected():

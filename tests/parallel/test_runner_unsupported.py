@@ -35,7 +35,7 @@ def test_model_refusal_is_unsupported_and_never_retried():
         ["fftw"],
         keys=["impact/fftw"],
         workers=1,
-        policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=3),
     )
     assert report.results == [None]
     assert report.transients == []  # no attempts wasted on a deterministic no
@@ -50,7 +50,7 @@ def test_unsupported_scenario_classifies_the_same_way():
         _refuse_scenario,
         ["x"],
         workers=1,
-        policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=2),
     )
     (record,) = report.failures
     assert record.category == "unsupported"
@@ -62,7 +62,7 @@ def test_pool_path_classifies_refusals_too(tmp_path):
         _refuse,
         ["a", "b"],
         workers=2,
-        policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=3),
     )
     assert [record.category for record in report.failures] == [
         "unsupported",
@@ -77,7 +77,7 @@ def test_ordinary_exceptions_still_retry(tmp_path):
         _flaky,
         [marker],
         workers=1,
-        policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+        policy=RetryPolicy(max_attempts=2),
     )
     assert report.results == ["recovered"]
     assert [record.category for record in report.transients] == ["exception"]

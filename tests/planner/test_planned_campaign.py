@@ -17,7 +17,7 @@ import repro.core.experiments.pipeline as pipeline_mod
 from repro.core.experiments import PipelineSettings, ReproductionPipeline
 from repro.core.experiments.cache import RESERVED_FILES
 from repro.errors import AnalyticModelError, CampaignError
-from repro.planner import CostModel, PlannedCampaign, get_planner
+from repro.planner import PRODUCT_KINDS, CostModel, PlannedCampaign, get_planner
 
 from .conftest import make_pipeline
 
@@ -137,7 +137,7 @@ def test_deterministic_plans_and_shards_across_runs(tmp_path):
     assert shards_one == shards_two  # bit-identical shards
 
 
-def test_unsupported_refusals_are_refunded_and_exempt(pipeline, monkeypatch):
+def _refuse_mcb_baseline(monkeypatch):
     real = pipeline_mod.run_experiment
 
     def refuse_mcb_baseline(descriptor):
@@ -146,6 +146,10 @@ def test_unsupported_refusals_are_refunded_and_exempt(pipeline, monkeypatch):
         return real(descriptor)
 
     monkeypatch.setattr(pipeline_mod, "run_experiment", refuse_mcb_baseline)
+
+
+def test_unsupported_refusals_are_refunded_and_exempt(pipeline, monkeypatch):
+    _refuse_mcb_baseline(monkeypatch)
     model = CostModel.from_settings(pipeline.settings)
     result = _campaign(pipeline, budget=50.0).run()  # ample budget
 
@@ -167,6 +171,68 @@ def test_unsupported_refusals_are_refunded_and_exempt(pipeline, monkeypatch):
         for key in entry["requested"]
         if pipeline.has_product(key)
     )
+
+
+@pytest.mark.parametrize(
+    "planner, budget, digest",
+    [
+        (
+            "greedy",
+            0.09,
+            "f67c33bdc954df9f2cad7619472a3fd82d4af0699ac3e9daf0ba6e56b64b26df",
+        ),
+        (
+            "greedy",
+            0.105,
+            "94af2f86894bc3a9805e00b0a7a46e8e5e9349843025ed9d58884e98d9362574",
+        ),
+        (
+            "uncertainty",
+            0.09,
+            "cd38dca65a16db9c2300527cd2390d6494c9eacd6aaddfb52155a292fbfd7d4a",
+        ),
+        (
+            "uncertainty",
+            0.105,
+            "497aa067f5e6da902b17e6014b4b99f9337732fee94a5371bb2b3b2767ddffc4",
+        ),
+    ],
+)
+def test_refund_traces_are_pinned(pipeline, monkeypatch, planner, budget, digest):
+    # SHA-256 of each trace's sorted-key JSON with baseline/mcb refused.
+    # At 0.09 the campaign ends in the bootstrap with one key skipped, and
+    # its spend is the sweep's charge less the 0.005 refund, taken in that
+    # order; at 0.105 round 1 skips one key after the refund was spent.
+    _refuse_mcb_baseline(monkeypatch)
+    result = _campaign(pipeline, budget=budget, planner=planner).run()
+    trace = json.dumps(result.trace_document(), sort_keys=True).encode()
+    assert hashlib.sha256(trace).hexdigest() == digest
+    assert result.budget_refunded == 0.005
+    assert result.skipped == 1
+    if budget == 0.09:
+        assert [entry["round"] for entry in result.rounds] == [0]
+        assert result.budget_spent == 0.08499999999999999
+
+
+def test_holdout_pairs_skipped_for_budget_lead_the_next_round(pipeline):
+    # Pairs cost 100 times any other kind, and 1.3 admits the bootstrap's
+    # first holdout pair but not its second: each skipped holdout pair is
+    # requested again, first, in the next round's slice of the schedule
+    # instead of being dropped from it.
+    model = CostModel({kind: 1.0 if kind == "pair" else 0.01 for kind in PRODUCT_KINDS})
+    result = _campaign(pipeline, budget=1.3, cost_model=model).run()
+    requested = [
+        [key for key in entry["requested"] if key.startswith("pair/")]
+        for entry in result.rounds
+    ]
+    skipped = [
+        [pipeline.raw_key(key) for key in entry["skipped"] if "pair/" in key]
+        for entry in result.rounds
+    ]
+    assert skipped[0] == ["pair/mcb/fftw"]
+    assert len(result.rounds) > 1
+    for deferred, pairs in zip(skipped, requested[1:]):
+        assert pairs[: len(deferred)] == deferred
 
 
 def test_real_failures_still_enforce_the_failure_budget(pipeline, monkeypatch):

@@ -9,6 +9,7 @@ from repro.cluster import small_test_config
 from repro.core.experiments import PipelineSettings, ReproductionPipeline
 from repro.faults import ENV_VAR as FAULTS_ENV, set_fault_plan
 from repro.parallel import RetryPolicy
+from repro.telemetry.live import LIVE_REPORT_NAME
 from repro.telemetry.report import (
     TELEMETRY_REPORT_NAME,
     load_report,
@@ -50,7 +51,8 @@ def _signature(pipeline):
 
 
 def test_campaign_writes_telemetry_report(tmp_path):
-    pipeline = _pipeline(tmp_path / "cache", telemetry=True)
+    telemetry.enable()
+    pipeline = _pipeline(tmp_path / "cache")
     stats = pipeline.ensure_all(workers=2)
 
     path = tmp_path / "cache" / TELEMETRY_REPORT_NAME
@@ -79,16 +81,22 @@ def test_campaign_writes_telemetry_report(tmp_path):
 
 
 def test_no_telemetry_campaign_is_bit_identical_and_writes_no_report(tmp_path):
-    # Even with the process-wide switch forced on, telemetry=False keeps the
-    # campaign dark — and the products are byte-identical either way.
-    with_telemetry = _pipeline(tmp_path / "on", telemetry=True)
+    # With the process-wide switch off the campaign stays dark: it records
+    # nothing and writes neither report — and the products are
+    # byte-identical either way.
+    telemetry.enable()
+    with_telemetry = _pipeline(tmp_path / "on")
     with_telemetry.ensure_all(workers=2)
 
-    telemetry.enable()  # the knob must override the global switch
-    without = _pipeline(tmp_path / "off", telemetry=False)
+    telemetry.disable()
+    telemetry.reset()
+    without = _pipeline(tmp_path / "off")
     without.ensure_all(workers=2)
 
     assert not (tmp_path / "off" / TELEMETRY_REPORT_NAME).exists()
+    assert not (tmp_path / "off" / LIVE_REPORT_NAME).exists()
+    assert telemetry.snapshot()["metrics"]["counters"] == {}
+    assert telemetry.snapshot()["spans"] == []
     assert (tmp_path / "on" / TELEMETRY_REPORT_NAME).exists()
     assert _signature(with_telemetry) == _signature(without)
 
@@ -112,8 +120,8 @@ def test_sim_runs_counts_every_executed_sim_product(tmp_path):
         },
         catalog=[CompressionConfig(1, 1, 2.5e6), CompressionConfig(2, 1, 2.5e5)],
         cache_path=tmp_path / "cache",
-        telemetry=True,
     )
+    telemetry.enable()
     stats = pipeline.ensure_all(workers=1)
     counters = load_report(tmp_path / "cache" / TELEMETRY_REPORT_NAME)["counters"]
     assert stats["executed"] == 16
@@ -121,7 +129,8 @@ def test_sim_runs_counts_every_executed_sim_product(tmp_path):
 
 
 def test_stats_report_none_without_cache_directory(tmp_path):
-    pipeline = _pipeline(None, telemetry=True)
+    telemetry.enable()
+    pipeline = _pipeline(None)
     stats = pipeline.ensure_all(workers=1)
     assert stats["telemetry_report"] is None
 
@@ -141,10 +150,10 @@ def test_faulted_campaign_telemetry_matches_failure_report(tmp_path, monkeypatch
     )
     pipeline = _pipeline(
         tmp_path / "faulted",
-        retry=RetryPolicy(max_attempts=2, timeout=2.0, backoff_base=0.0),
+        retry=RetryPolicy(max_attempts=2, timeout=2.0),
         failure_budget=1,
-        telemetry=True,
     )
+    telemetry.enable()
     stats = pipeline.ensure_all(workers=2)
     assert stats["failed"] == 1
 

@@ -100,13 +100,13 @@ def _pipeline(cache_path):
         ),
         machine_config=small_test_config(seed=0),
         cache_path=cache_path,
-        telemetry=True,
     )
 
 
 def _campaign_counters(tmp_path, label, workers):
     telemetry.disable()
     telemetry.reset()
+    telemetry.enable()
     pipeline = _pipeline(tmp_path / label)
     stats = pipeline.ensure_all(workers=workers)
     assert stats["failed"] == 0

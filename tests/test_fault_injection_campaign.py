@@ -70,7 +70,7 @@ def test_faulted_campaign_survives_and_heals(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_VAR, json.dumps(FAULT_PLAN))
     faulted = _pipeline(
         tmp_path / "faulted",
-        retry=RetryPolicy(max_attempts=2, timeout=2.0, backoff_base=0.0),
+        retry=RetryPolicy(max_attempts=2, timeout=2.0),
         failure_budget=1,
     )
     stats = faulted.ensure_all(workers=2)

@@ -31,7 +31,7 @@ from .serving.conftest import make_catalog
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    # A telemetry-on campaign turns the process-wide switch on.
+    # The telemetry-on campaign below turns the process-wide switch on.
     yield
     telemetry.disable()
     telemetry.reset()
@@ -89,12 +89,11 @@ def test_seal_is_the_sha256_of_the_utf8_text():
 # ----------------------------------------------------------------------
 # Every file the program writes
 # ----------------------------------------------------------------------
-def _pipeline(cache, telemetry=False):
+def _pipeline(cache):
     return ReproductionPipeline(
         settings=PipelineSettings(profile="quick", seed=0, engine="analytic"),
         machine_config=small_test_config(seed=0),
         cache_path=cache,
-        telemetry=telemetry,
     )
 
 
@@ -120,7 +119,8 @@ def test_every_written_file_follows_the_umask(tmp_path):
     previous = os.umask(0o022)
     try:
         cache = tmp_path / "cache"
-        _pipeline(cache, telemetry=True).ensure_products(["calibration"])
+        telemetry.enable()
+        _pipeline(cache).ensure_products(["calibration"])
         journaled = ShardedCache(tmp_path / "journaled")
         journaled.put("impact/x", 1.0, flush=False)
         registry = ModelRegistry(tmp_path / "registry")
